@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,6 +83,15 @@ class ValidationRow:
         return self.ml_error > self.certificate + BOUND_SLACK
 
 
+def _effectivity(name: str, pairs: list[tuple[float, float]]) -> str:
+    """Min, median and max of bound / error over the rows with a nonzero error."""
+    ratios = [bound / error for bound, error in pairs if error > 0.0]
+    if not ratios:
+        return f"effectivity {name}: no nonzero errors"
+    return (f"effectivity {name}: min {min(ratios):.3e} "
+            f"median {statistics.median(ratios):.3e} max {max(ratios):.3e} (n={len(ratios)})")
+
+
 @dataclass
 class ValidationReport:
     rows: list[ValidationRow]
@@ -109,6 +119,8 @@ class ValidationReport:
                 f"worst ml_error/bound: "
                 f"{max((r.ml_error / r.certificate if r.certificate else 0.0) for r in self.rows):.3e}"
             )
+            lines.append(_effectivity("delta_rb/rb_error", [(r.delta_rb, r.rb_error) for r in self.rows]))
+            lines.append(_effectivity("certificate/ml_error", [(r.certificate, r.ml_error) for r in self.rows]))
         lines.append(f"violations: {self.n_violations}")
         return "\n".join(lines) + "\n"
 
@@ -130,14 +142,12 @@ def validate_run(config: RunConfig, n_validation: int) -> ValidationReport:
             )
             _, f_h = solve_fom(state.ops, mu, state.grid, state.c0)
             cert = state.certify(mu)
-            f_rb, _ = state.rb_answer(mu)
-            f_ml = state.ml_answer(mu)
             rows.append(
                 ValidationRow(
                     mu=mu,
-                    rb_error=qoi_norm(QoiVector(f_h.values - f_rb.values, f_h.dt)),
+                    rb_error=qoi_norm(QoiVector(f_h.values - cert.f_rb.values, f_h.dt)),
                     delta_rb=cert.delta_rb,
-                    ml_error=qoi_norm(QoiVector(f_h.values - f_ml.values, f_h.dt)),
+                    ml_error=qoi_norm(QoiVector(f_h.values - cert.f_ml.values, f_h.dt)),
                     certificate=cert.value,
                 )
             )

@@ -83,11 +83,13 @@ class HierarchyConfig:
 
 @dataclass
 class MlCertificate:
-    """Upper bound on the surrogate's output error against the full model."""
+    """Upper bound on the surrogate's output error, and the outputs it compared."""
 
     value: float
     delta_rb: float
     rb_ml_gap: float
+    f_rb: QoiVector
+    f_ml: QoiVector
 
 
 @dataclass
@@ -106,9 +108,11 @@ class AdaptiveHierarchy:
     """Sequential controller owning the reduced model, surrogate and training set.
 
     Queries mutate shared state (basis enrichment, harvested training pairs),
-    so one query must complete before the next starts.  All mutation happens
-    after the branch's numerics succeeded; an exception mid-query leaves the
-    state as it was.
+    so one query must complete before the next starts.  Counters count
+    completed work.  A failing `solve_fom` or `enrich` leaves the basis,
+    training set, FOM counter and record index as they were.  A failing `fit`
+    keeps the harvested pair (and an enriched basis) and is retried by the
+    next query.
     """
 
     def __init__(
@@ -142,21 +146,20 @@ class AdaptiveHierarchy:
 
     def ml_answer(self, mu: ParameterPoint) -> QoiVector:
         """Surrogate prediction; the unfitted surrogate is the zero model."""
+        answer = (QoiVector(np.zeros(self.grid.n_steps), self.grid.dt)
+                  if self.model is None else predict(self.model, mu))
         self.counters["ml_predicts"] += 1
-        if self.model is None:
-            return QoiVector(np.zeros(self.grid.n_steps), self.grid.dt)
-        return predict(self.model, mu)
+        return answer
 
     def rb_answer(self, mu: ParameterPoint) -> tuple[QoiVector, float]:
         """Reduced output and its error bound against the current basis."""
-        self.counters["rb_solves"] += 1
         traj, qoi = solve_rb(self.rm, mu, self.grid)
         bound = estimate(self.rm, mu, traj, self.grid)
+        self.counters["rb_solves"] += 1
         return qoi, bound.delta_rb
 
     def _fom_branch(self, mu: ParameterPoint) -> QoiVector:
         """Full solve, basis enrichment and harvest of the FOM training pair."""
-        self.counters["fom_solves"] += 1
         traj, qoi = solve_fom(self.ops, mu, self.grid, self.c0)
         new_rm, added = enrich(
             self.rm,
@@ -170,6 +173,7 @@ class AdaptiveHierarchy:
                 "enrichment stagnated at mu=%s (trajectory already in span); "
                 "returning the FOM answer anyway", mu,
             )
+        self.counters["fom_solves"] += 1
         self.rm = new_rm
         self.train.add(mu, qoi, "FOM")
         return qoi
@@ -183,8 +187,7 @@ class AdaptiveHierarchy:
             return False
         if mode == "size_threshold":
             return self.model is not None and len(self.train) >= self.config.trust_threshold
-        cert = self.certify(mu)
-        return cert.value <= self.config.validation_slack * self.config.rom_tol
+        return self.certify(mu).value <= self.config.validation_slack * self.config.rom_tol
 
     def certify(self, mu: ParameterPoint) -> MlCertificate:
         """Triangle-inequality bound on the surrogate error; no FOM solve involved.
@@ -195,7 +198,7 @@ class AdaptiveHierarchy:
         f_rb, delta = self.rb_answer(mu)
         f_ml = self.ml_answer(mu)
         gap = qoi_norm(QoiVector(f_rb.values - f_ml.values, f_rb.dt))
-        return MlCertificate(delta + gap, delta, gap)
+        return MlCertificate(delta + gap, delta, gap, f_rb, f_ml)
 
     def maybe_retrain(self) -> bool:
         """Refit the surrogate if the training set grew enough since the last fit."""
@@ -215,19 +218,16 @@ class AdaptiveHierarchy:
         cfg = self.config
 
         delta: float | None = None
-        cert_value: float | None = None
+        cert: MlCertificate | None = None
 
         if cfg.trust_mode == "size_threshold" and self.trust(mu):
             answer = self.ml_answer(mu)
             used = "ML"
         else:
-            f_rb, delta = self.rb_answer(mu)
-            if cfg.trust_mode == "always_validate":
-                f_ml = self.ml_answer(mu)
-                gap = qoi_norm(QoiVector(f_rb.values - f_ml.values, f_rb.dt))
-                cert_value = delta + gap
-            if cert_value is not None and cert_value <= cfg.validation_slack * cfg.rom_tol:
-                answer = f_ml
+            cert = self.certify(mu) if cfg.trust_mode == "always_validate" else None
+            f_rb, delta = (cert.f_rb, cert.delta_rb) if cert else self.rb_answer(mu)
+            if cert is not None and cert.value <= cfg.validation_slack * cfg.rom_tol:
+                answer = cert.f_ml
                 used = "ML"
             elif delta <= cfg.rom_tol:
                 self.train.add(mu, f_rb, "RB")
@@ -246,7 +246,7 @@ class AdaptiveHierarchy:
             model_used=used,
             wall_time=time.perf_counter() - start,
             delta_rb=delta,
-            ml_certificate=cert_value,
+            ml_certificate=None if cert is None else cert.value,
             rb_dim_after=self.rm.dim,
             train_size_after=len(self.train),
         )

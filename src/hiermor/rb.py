@@ -82,40 +82,6 @@ class ErrorBound:
     residual_norms: np.ndarray
 
 
-def _h_qr(columns: np.ndarray, ip) -> tuple[np.ndarray, np.ndarray]:
-    """H-orthonormal QR: columns = Q @ coord with Q^T H Q = I.
-
-    Modified Gram-Schmidt with one reorthogonalization pass; numerically
-    dependent columns are dropped from Q but keep their coordinates, so the
-    factorization error stays at roundoff level.  Returns (Q, coord) with
-    coord of shape (rank, n_columns).
-    """
-    n, m = columns.shape
-    q_cols: list[np.ndarray] = []
-    hq_cols: list[np.ndarray] = []
-    coord = np.zeros((m, m))
-    for j in range(m):
-        v = columns[:, j].copy()
-        hv = ip @ v
-        ref = math.sqrt(max(float(v @ hv), 0.0))
-        for _ in range(2):
-            for i in range(len(q_cols)):
-                c = float(q_cols[i] @ hv)
-                coord[i, j] += c
-                v -= c * q_cols[i]
-                hv -= c * hq_cols[i]
-            hv = ip @ v  # refresh: incremental updates drift over many columns
-        nrm = math.sqrt(max(float(v @ hv), 0.0))
-        if nrm > 1e-10 * max(ref, 1.0):
-            coord[len(q_cols), j] = nrm
-            q = v / nrm
-            q_cols.append(q)
-            hq_cols.append(ip @ q)
-    rank = len(q_cols)
-    q = np.column_stack(q_cols) if rank else np.zeros((n, 0))
-    return q, coord[:rank]
-
-
 def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
     """Minimal generalized eigenvalues of (diff, ip) and (react, ip).
 
@@ -171,13 +137,12 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
         if r:
             components[:, 3 + i * r: 3 + (i + 1) * r] = mat @ phi
     # Dual norms of residual combinations are ||coord @ w||_2 with `coord`
-    # the H-orthonormal coordinates of the Riesz representers.  Contracting
-    # the Gramian with w directly would cancel catastrophically once the
+    # the Riesz representers' coordinates in an H-orthonormal basis Q of their
+    # span.  Contracting the Gramian with w directly would cancel once the
     # residual is small; the factored form is exact up to roundoff in coord.
-    representers = ops.ip_solve(components)
-    _, coord = _h_qr(representers, ops.ip)
-    gram_sqrt = coord.T
-    gram = coord.T @ coord
+    # As H @ representers == components, Q^T H representers = Q^T components.
+    q, _ = h_orthonormalize(ops.ip_solve(components), ops.ip, drop_tol=1e-10)
+    coord = q.T @ components
 
     c_s = math.sqrt(float(ops.output @ ops.ip_solve(ops.output)))
     gamma_diff, gamma_react = coercivity_constants(ops)
@@ -197,8 +162,8 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
         red_load_react=phi.T @ ops.load_react,
         red_output=phi.T @ ops.output,
         red_init=red_init,
-        riesz_gram=gram,
-        riesz_sqrt=gram_sqrt,
+        riesz_gram=coord.T @ coord,
+        riesz_sqrt=coord.T,
         output_dual_norm=c_s,
         gamma_diff=gamma_diff,
         gamma_react=gamma_react,
@@ -300,7 +265,7 @@ def enrich(
     Returns the rebuilt model and the number of modes added; zero added modes
     signals that the trajectory is already contained in the span and lets the
     caller detect stagnation.  The union basis is reorthonormalized with
-    modified Gram-Schmidt, so the old span is preserved exactly.
+    `h_orthonormalize`, old modes first, so the old span is preserved exactly.
     """
     snapshots = fom_traj.coeffs.T
     phi = rm.basis.modes

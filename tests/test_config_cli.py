@@ -260,6 +260,46 @@ def test_validate_report_structure(tmp_path):
     for row in report.rows:
         assert row.rb_error <= row.delta_rb + 1e-10
         assert row.ml_error <= row.certificate + 1e-10
+    lines = report.text().splitlines()
+    assert lines[-1] == "violations: 0"
+    assert lines[-5].startswith("worst rb_error/bound: ")
+    assert lines[-4].startswith("worst ml_error/bound: ")
+    for line, (bound, error) in zip(
+        lines[-3:-1], (("delta_rb", "rb_error"), ("certificate", "ml_error"))
+    ):
+        assert line.startswith(f"effectivity {bound}/{error}: min ")
+        ratios = sorted(
+            getattr(r, bound) / getattr(r, error) for r in report.rows if getattr(r, error) > 0
+        )
+        words = line.split()
+        values = [float(words[words.index(key) + 1]) for key in ("min", "median", "max")]
+        assert values[0] <= values[1] <= values[2]
+        assert values[0] == pytest.approx(ratios[0], rel=1e-3)
+        assert values[2] == pytest.approx(ratios[-1], rel=1e-3)
+        assert words[-1] == f"(n={len(ratios)})"
+
+
+def test_validate_run_solves_rb_once_per_point(tmp_path, monkeypatch):
+    import hiermor.cli as cli_mod
+    import hiermor.hierarchy as hierarchy_mod
+
+    calls = []
+    sweep = cli_mod._execute_sweep
+
+    def sweep_then_count(config):
+        result = sweep(config)
+        solve_rb = hierarchy_mod.solve_rb
+
+        def counting_solve_rb(*args, **kwargs):
+            calls.append(args[1])
+            return solve_rb(*args, **kwargs)
+
+        monkeypatch.setattr(hierarchy_mod, "solve_rb", counting_solve_rb)
+        return result
+
+    monkeypatch.setattr(cli_mod, "_execute_sweep", sweep_then_count)
+    validate_run(load_config(write_small_config(tmp_path)), 3)
+    assert len(calls) == 3
 
 
 def test_validation_with_full_space_basis_override(tmp_path):
@@ -281,14 +321,12 @@ def test_validation_with_full_space_basis_override(tmp_path):
         mu = ParameterPoint(rng.uniform(0.1, 10.0), rng.uniform(1.0, 10.0))
         _, f_h = solve_fom(state.ops, mu, state.grid, state.c0)
         cert = state.certify(mu)
-        f_rb, _ = state.rb_answer(mu)
-        f_ml = state.ml_answer(mu)
         rows.append(
             ValidationRow(
                 mu=mu,
-                rb_error=qoi_norm(QoiVector(f_h.values - f_rb.values, f_h.dt)),
+                rb_error=qoi_norm(QoiVector(f_h.values - cert.f_rb.values, f_h.dt)),
                 delta_rb=cert.delta_rb,
-                ml_error=qoi_norm(QoiVector(f_h.values - f_ml.values, f_h.dt)),
+                ml_error=qoi_norm(QoiVector(f_h.values - cert.f_ml.values, f_h.dt)),
                 certificate=cert.value,
             )
         )

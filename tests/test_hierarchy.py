@@ -281,6 +281,31 @@ def test_fit_failure_keeps_previous_model(monkeypatch):
     assert state.model is previous
 
 
+def test_failing_fom_branch_leaves_state_unchanged(monkeypatch):
+    import hiermor.hierarchy as hierarchy_mod
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    state = make_state()
+    mu = ParameterPoint(1.0, 10.0)  # empty basis: the first query takes the FOM branch
+    for target in ("solve_fom", "enrich"):
+        counters, rm = dict(state.counters), state.rm
+        train_size, index = len(state.train), state._next_index
+        with monkeypatch.context() as patch:
+            patch.setattr(hierarchy_mod, target, broken)
+            with pytest.raises(RuntimeError, match="synthetic"):
+                state.query(mu)
+        # only the RB solve that ran to completion is counted
+        assert state.counters == {**counters, "rb_solves": counters["rb_solves"] + 1}
+        assert state.rm is rm
+        assert len(state.train) == train_size
+        assert state._next_index == index
+    _, record = state.query(mu)
+    assert record.index == 1 and record.model_used == "FOM"
+    assert state.counters["fom_solves"] == 1
+
+
 # -- stagnation ---------------------------------------------------------------------
 
 

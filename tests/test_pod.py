@@ -50,6 +50,20 @@ def test_duplicated_orthonormal_set(small_problem):
     assert projection_error_sq(q, basis.modes, ops.ip) < 1e-20
 
 
+def test_h_orthonormalize_drops_dependent_columns(small_problem):
+    ops, _ = small_problem
+    rng = np.random.default_rng(7)
+    a, b, c = rng.standard_normal((3, ops.n_dofs))
+    vectors = np.column_stack([a, b, a + b, np.zeros(ops.n_dofs), c])
+    q, kept = h_orthonormalize(vectors, ops.ip)
+    assert kept == [0, 1, 4]
+    assert np.abs(q.T @ (ops.ip @ q) - np.eye(3)).max() < 1e-12
+    # span preserved: every input column is reproduced by its H-projection
+    assert projection_error_sq(vectors, q, ops.ip) < 1e-20 * float(
+        np.einsum("ij,ij->", vectors, ops.ip @ vectors)
+    )
+
+
 def test_reconstruction_identity_against_svd_oracle():
     rng = np.random.default_rng(11)
     snapshots = rng.standard_normal((8, 5))
