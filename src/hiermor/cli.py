@@ -158,6 +158,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.out_dir is not None:
         config = dataclasses.replace(config, out_dir=Path(args.out_dir))
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         config = dataclasses.replace(
             config, sweep=dataclasses.replace(config.sweep, seed=args.seed)
         )
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
+        config = _apply_overrides(load_config(args.config), args)
     except OSError as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -191,7 +193,6 @@ def main(argv=None) -> int:
         where = f"{args.config}:{exc.lineno}" if exc.lineno else str(args.config)
         print(f"{where}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    config = _apply_overrides(config, args)
 
     try:
         if args.command == "run":

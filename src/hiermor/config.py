@@ -198,6 +198,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("sweep.n_queries must be >= 0", ent.lineno("sweep", "n_queries"))
     sampler = ent.get("sweep", "sampler", _choice(SAMPLERS), "uniform_random")
     seed = ent.get("sweep", "seed", _to_int, None)
+    if seed is not None and seed < 0:
+        raise ConfigError("sweep.seed must be >= 0", ent.lineno("sweep", "seed"))
     sweep = SweepConfig(n_queries=n_queries, sampler=sampler, seed=seed)
 
     out_dir = Path(ent.get("output", "out_dir", str, "hiermor-out"))

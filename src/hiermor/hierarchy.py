@@ -57,7 +57,11 @@ TRUST_MODES = ("size_threshold", "always_validate", "never")
 
 @dataclass(frozen=True)
 class HierarchyConfig:
-    """Controller knobs: ROM tolerance, retrain schedule and trust criterion."""
+    """Controller knobs: ROM tolerance, retrain schedule and trust criterion.
+
+    `size_threshold` ML answers carry no bound (their `ml_certificate` is
+    empty) and can miss `rom_tol`; `always_validate` ones carry a certificate.
+    """
 
     rom_tol: float = 1e-2
     retrain_every: int = 10
@@ -107,12 +111,14 @@ class QueryRecord:
 class AdaptiveHierarchy:
     """Sequential controller owning the reduced model, surrogate and training set.
 
-    Queries mutate shared state (basis enrichment, harvested training pairs),
-    so one query must complete before the next starts.  Counters count
-    completed work.  A failing `solve_fom` or `enrich` leaves the basis,
-    training set, FOM counter and record index as they were.  A failing `fit`
-    keeps the harvested pair (and an enriched basis) and is retried by the
-    next query.
+    A query changes controller state all at once or not at all.  `query()`
+    walks the ladder once, computing in locals the answer, the candidate
+    basis, training set and refit surrogate, and the counter increments;
+    `_commit` writes them in one step, and only then does the record index
+    advance.  A query that raises (a parameter outside the box, a failing
+    `solve_fom`, `enrich` or `fit`) changes nothing.  Each query starts from
+    the state the previous one left, so queries run one at a time.
+    `ml_answer`, `rb_answer` and `certify` only evaluate; they write nothing.
     """
 
     def __init__(
@@ -134,60 +140,27 @@ class AdaptiveHierarchy:
         self.rm: ReducedModel = project(ops, empty, self.c0)
         self.train = TrainingSet()
         self.model: KernelModel | None = None
-        self.counters = {"fom_solves": 0, "rb_solves": 0, "ml_predicts": 0, "fits": 0}
+        self.counters = dict.fromkeys(
+            ("fom_solves", "rb_solves", "ml_predicts", "fits", "stagnated"), 0)
         self._last_fit_size = 0
         self._next_index = 1
         if config.warm_start_corners:
             for corner in box.corners():
-                self._fom_branch(corner)
-                self.maybe_retrain()
+                work: dict[str, int] = {}
+                self._commit(work, self._harvest(corner, None, work)[1])
 
-    # -- model evaluations with bookkeeping ---------------------------------
+    # -- evaluations against the current state -------------------------------
 
     def ml_answer(self, mu: ParameterPoint) -> QoiVector:
         """Surrogate prediction; the unfitted surrogate is the zero model."""
-        answer = (QoiVector(np.zeros(self.grid.n_steps), self.grid.dt)
-                  if self.model is None else predict(self.model, mu))
-        self.counters["ml_predicts"] += 1
-        return answer
+        if self.model is None:
+            return QoiVector(np.zeros(self.grid.n_steps), self.grid.dt)
+        return predict(self.model, mu)
 
     def rb_answer(self, mu: ParameterPoint) -> tuple[QoiVector, float]:
         """Reduced output and its error bound against the current basis."""
         traj, qoi = solve_rb(self.rm, mu, self.grid)
-        bound = estimate(self.rm, mu, traj, self.grid)
-        self.counters["rb_solves"] += 1
-        return qoi, bound.delta_rb
-
-    def _fom_branch(self, mu: ParameterPoint) -> QoiVector:
-        """Full solve, basis enrichment and harvest of the FOM training pair."""
-        traj, qoi = solve_fom(self.ops, mu, self.grid, self.c0)
-        new_rm, added = enrich(
-            self.rm,
-            traj,
-            self.ops,
-            energy_tol=self.config.enrich_energy_tol,
-            max_modes=self.config.enrich_max_modes,
-        )
-        if added == 0:
-            logger.warning(
-                "enrichment stagnated at mu=%s (trajectory already in span); "
-                "returning the FOM answer anyway", mu,
-            )
-        self.counters["fom_solves"] += 1
-        self.rm = new_rm
-        self.train.add(mu, qoi, "FOM")
-        return qoi
-
-    # -- public protocol -----------------------------------------------------
-
-    def trust(self, mu: ParameterPoint) -> bool:
-        """Whether the surrogate's answer would be returned without validation."""
-        mode = self.config.trust_mode
-        if mode == "never":
-            return False
-        if mode == "size_threshold":
-            return self.model is not None and len(self.train) >= self.config.trust_threshold
-        return self.certify(mu).value <= self.config.validation_slack * self.config.rom_tol
+        return qoi, estimate(self.rm, mu, traj, self.grid).delta_rb
 
     def certify(self, mu: ParameterPoint) -> MlCertificate:
         """Triangle-inequality bound on the surrogate error; no FOM solve involved.
@@ -200,48 +173,33 @@ class AdaptiveHierarchy:
         gap = qoi_norm(QoiVector(f_rb.values - f_ml.values, f_rb.dt))
         return MlCertificate(delta + gap, delta, gap, f_rb, f_ml)
 
-    def maybe_retrain(self) -> bool:
-        """Refit the surrogate if the training set grew enough since the last fit."""
-        if len(self.train) - self._last_fit_size >= self.config.retrain_every:
-            self.model = fit(self.train, self.kernel_config)
-            self.counters["fits"] += 1
-            self._last_fit_size = len(self.train)
-            return True
-        return False
+    # -- the query ladder ------------------------------------------------------
 
     def query(self, mu: ParameterPoint) -> tuple[QoiVector, QueryRecord]:
         """Answer one parameter query through the adaptive ladder."""
         if not self.box.contains(mu):
             raise ValueError(f"{mu} lies outside the parameter box {self.box}")
         start = time.perf_counter()
-        index = self._next_index
         cfg = self.config
+        delta = cert = learned = None
 
-        delta: float | None = None
-        cert: MlCertificate | None = None
-
-        if cfg.trust_mode == "size_threshold" and self.trust(mu):
-            answer = self.ml_answer(mu)
-            used = "ML"
+        if (cfg.trust_mode == "size_threshold" and self.model is not None
+                and len(self.train) >= cfg.trust_threshold):
+            answer, used, work = self.ml_answer(mu), "ML", {"ml_predicts": 1}
         else:
             cert = self.certify(mu) if cfg.trust_mode == "always_validate" else None
             f_rb, delta = (cert.f_rb, cert.delta_rb) if cert else self.rb_answer(mu)
+            work = {"rb_solves": 1, "ml_predicts": int(cert is not None)}
             if cert is not None and cert.value <= cfg.validation_slack * cfg.rom_tol:
-                answer = cert.f_ml
-                used = "ML"
-            elif delta <= cfg.rom_tol:
-                self.train.add(mu, f_rb, "RB")
-                self.maybe_retrain()
-                answer = f_rb
-                used = "RB"
+                answer, used = cert.f_ml, "ML"
             else:
-                answer = self._fom_branch(mu)
-                self.maybe_retrain()
-                used = "FOM"
+                used = "RB" if delta <= cfg.rom_tol else "FOM"
+                answer, learned = self._harvest(mu, f_rb if used == "RB" else None, work)
 
-        self._next_index = index + 1
+        self._commit(work, learned)
+        self._next_index += 1
         record = QueryRecord(
-            index=index,
+            index=self._next_index - 1,
             mu=mu,
             model_used=used,
             wall_time=time.perf_counter() - start,
@@ -251,6 +209,36 @@ class AdaptiveHierarchy:
             train_size_after=len(self.train),
         )
         return answer, record
+
+    def _harvest(self, mu: ParameterPoint, f_rb: QoiVector | None, work: dict[str, int]):
+        """Answer and (basis, training set, surrogate, last fit size) after learning mu.
+
+        `f_rb` None takes the FOM branch.  Writes nothing but the caller's `work`.
+        """
+        cfg = self.config
+        rm, train, answer = self.rm, self.train.copy(), f_rb
+        if f_rb is None:
+            traj, answer = solve_fom(self.ops, mu, self.grid, self.c0)
+            rm, added = enrich(rm, traj, self.ops, energy_tol=cfg.enrich_energy_tol,
+                               max_modes=cfg.enrich_max_modes)
+            work["fom_solves"] = 1
+            if added == 0:
+                logger.warning("enrichment stagnated at mu=%s (trajectory already in span); "
+                               "returning the FOM answer anyway", mu)
+                work["stagnated"] = 1
+        train.add(mu, answer, "RB" if f_rb is not None else "FOM")
+        model, fit_size = self.model, self._last_fit_size
+        if len(train) - fit_size >= cfg.retrain_every:
+            model, fit_size = fit(train, self.kernel_config), len(train)
+            work["fits"] = 1
+        return answer, (rm, train, model, fit_size)
+
+    def _commit(self, work: dict[str, int], learned: tuple | None) -> None:
+        """The one place controller state is written: counters, then what was learned."""
+        for key, n in work.items():
+            self.counters[key] += n
+        if learned is not None:
+            self.rm, self.train, self.model, self._last_fit_size = learned
 
 
 # -- query log export ---------------------------------------------------------

@@ -116,6 +116,12 @@ class TrainingSet:
         elif not (self._entries[pos].source == "FOM" and source == "RB"):
             self._entries[pos] = TrainingEntry(mu, qoi, source)
 
+    def copy(self) -> TrainingSet:
+        """Independent set holding the same entries (which are immutable)."""
+        out = TrainingSet()
+        out._entries, out._index = list(self._entries), dict(self._index)
+        return out
+
     @property
     def entries(self) -> list[TrainingEntry]:
         return list(self._entries)

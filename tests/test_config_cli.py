@@ -83,6 +83,12 @@ def test_missing_seed_for_random_sampler():
         parse_config("[mesh]\nn_cells = 16\n")
 
 
+def test_negative_seed_reports_line():
+    with pytest.raises(ConfigError, match="seed") as err:
+        parse_config("[mesh]\nn_cells = 16\n[sweep]\nseed = -1\n")
+    assert err.value.lineno == 4
+
+
 def test_key_outside_section_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("n_cells = 16\n")
@@ -221,6 +227,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "bad.ini:2" in err
+
+
+def test_negative_seed_override_exit_code(tmp_path, capsys):
+    path = write_small_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exit_code(tmp_path):

@@ -1,7 +1,11 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from hiermor import (
     AdaptiveHierarchy,
@@ -124,27 +128,27 @@ def test_branch_decisions_deterministic():
 
 
 def test_trust_size_threshold_boundary():
+    # ML answers start exactly when a fitted model exists and the training set
+    # has reached the threshold; (2, 4) reaches the size before the first fit
     box = ParameterBox(pe_max=10.0)
-    state = make_state(box=box, trust_threshold=5, retrain_every=1)
-    mus = sweep_mus(box, 10, seed=4)
-    i = 0
-    while len(state.train) < 4:
-        state.query(mus[i])
-        i += 1
-    assert not state.trust(ParameterPoint(1.0, 5.0))
-    while len(state.train) < 5:
-        state.query(mus[i])
-        i += 1
-    assert state.model is not None
-    assert state.trust(ParameterPoint(1.0, 5.0))
+    for trust_threshold, retrain_every in ((5, 1), (2, 4)):
+        state = make_state(box=box, trust_threshold=trust_threshold, retrain_every=retrain_every)
+        trusted, used = [], []
+        for mu in sweep_mus(box, 10, seed=4):
+            trusted.append(state.model is not None and len(state.train) >= trust_threshold)
+            used.append(state.query(mu)[1].model_used == "ML")
+        assert used == trusted
+        assert not trusted[0] and trusted[-1]
 
 
 def test_trust_never_mode():
     state = make_state(trust_mode="never", trust_threshold=1, retrain_every=1)
-    state.query(ParameterPoint(1.0, 5.0))
-    assert not state.trust(ParameterPoint(1.0, 5.0))
-    _, rec = state.query(ParameterPoint(1.0, 5.0))
+    mu = ParameterPoint(1.0, 5.0)
+    state.query(mu)
+    assert state.model is not None and len(state.train) >= 1
+    _, rec = state.query(mu)
     assert rec.model_used in ("RB", "FOM")
+    assert state.counters["ml_predicts"] == 0
 
 
 def test_always_validate_mode_end_to_end():
@@ -255,17 +259,11 @@ def test_duplicate_training_point_does_not_count_as_growth():
     assert state.counters["fits"] == fits_before
 
 
-def test_maybe_retrain_noop_below_threshold():
-    state = make_state(retrain_every=10)
-    assert not state.maybe_retrain()
-    assert state.model is None
-
-
 def test_fit_failure_keeps_previous_model(monkeypatch):
     box = ParameterBox(pe_max=10.0)
     state = make_state(box=box, retrain_every=1, trust_threshold=50)
     state.query(ParameterPoint(1.0, 5.0))
-    previous = state.model
+    previous, rm, counters = state.model, state.rm, dict(state.counters)
     assert previous is not None
 
     import hiermor.hierarchy as hierarchy_mod
@@ -273,37 +271,44 @@ def test_fit_failure_keeps_previous_model(monkeypatch):
     def broken_fit(train, config):
         raise RuntimeError("synthetic fit failure")
 
-    monkeypatch.setattr(hierarchy_mod, "fit", broken_fit)
-    state.train.add(ParameterPoint(2.0, 6.0),
-                    state.ml_answer(ParameterPoint(2.0, 6.0)), "RB")
-    with pytest.raises(RuntimeError, match="synthetic"):
-        state.maybe_retrain()
+    mu = ParameterPoint(2.0, 6.0)  # a new point: the training set grows, a refit is due
+    with monkeypatch.context() as patch:
+        patch.setattr(hierarchy_mod, "fit", broken_fit)
+        with pytest.raises(RuntimeError, match="synthetic"):
+            state.query(mu)
     assert state.model is previous
+    assert state.rm is rm and len(state.train) == 1
+    assert state.counters == counters
+    _, record = state.query(mu)
+    assert record.index == 2 and state.model is not previous
+    assert state.counters["fits"] == counters["fits"] + 1
 
 
-def test_failing_fom_branch_leaves_state_unchanged(monkeypatch):
+@pytest.mark.parametrize("target", ["solve_fom", "enrich", "fit"])
+def test_failing_fom_branch_leaves_state_unchanged(monkeypatch, target):
     import hiermor.hierarchy as hierarchy_mod
 
     def broken(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    state = make_state()
-    mu = ParameterPoint(1.0, 10.0)  # empty basis: the first query takes the FOM branch
-    for target in ("solve_fom", "enrich"):
-        counters, rm = dict(state.counters), state.rm
-        train_size, index = len(state.train), state._next_index
-        with monkeypatch.context() as patch:
-            patch.setattr(hierarchy_mod, target, broken)
-            with pytest.raises(RuntimeError, match="synthetic"):
-                state.query(mu)
-        # only the RB solve that ran to completion is counted
-        assert state.counters == {**counters, "rb_solves": counters["rb_solves"] + 1}
-        assert state.rm is rm
-        assert len(state.train) == train_size
-        assert state._next_index == index
+    # empty basis: the first query takes the FOM branch, and retrain_every = 1
+    # makes it refit, so every one of the three layers runs inside the query
+    state = make_state(retrain_every=1)
+    mu = ParameterPoint(1.0, 10.0)
+    rm = state.rm
+    with monkeypatch.context() as patch:
+        patch.setattr(hierarchy_mod, target, broken)
+        with pytest.raises(RuntimeError, match="synthetic"):
+            state.query(mu)
+    # nothing is committed, not even the RB solve that preceded the failure
+    assert all(n == 0 for n in state.counters.values())
+    assert state.rm is rm and state.rm.dim == 0
+    assert len(state.train) == 0
+    assert state.model is None
+    assert state._next_index == 1
     _, record = state.query(mu)
     assert record.index == 1 and record.model_used == "FOM"
-    assert state.counters["fom_solves"] == 1
+    assert state.counters["fom_solves"] == 1 and state.counters["fits"] == 1
 
 
 # -- stagnation ---------------------------------------------------------------------
@@ -315,14 +320,19 @@ def test_enrichment_stagnation_warns_and_returns_fom(caplog):
     state = make_state(n_cells=8, n_steps=8, rom_tol=1e-13)
     mu = ParameterPoint(1.0, 10.0)
     stagnated = False
+    dim_before = state.rm.dim
     with caplog.at_level(logging.WARNING, logger="hiermor.hierarchy"):
         for _ in range(10):
+            assert state.counters["stagnated"] == 0
             answer, rec = state.query(mu)
             assert rec.model_used == "FOM"
             if any("stagnated" in r.message for r in caplog.records):
                 stagnated = True
                 break
+            dim_before = rec.rb_dim_after
     assert stagnated
+    assert state.counters["stagnated"] == 1
+    assert rec.rb_dim_after == dim_before  # the stagnated solve added no mode
     _, f_h = solve_fom(state.ops, mu, state.grid, state.c0)
     assert np.array_equal(answer.values, f_h.values)
 
@@ -367,3 +377,82 @@ def test_query_log_roundtrip(tmp_path):
             assert row["delta_rb"] == ""
         else:
             assert float(row["delta_rb"]) == rec.delta_rb
+
+
+# -- all or nothing, as a state machine -----------------------------------------------
+
+STATEFUL_BOX = ParameterBox(pe_max=10.0)
+# a few fixed points make repeats, and so RB answers, frequent
+STATEFUL_POINTS = st.sampled_from(
+    [ParameterPoint(da, pe) for da in (0.5, 5.0) for pe in (2.0, 8.0)]
+) | st.builds(ParameterPoint, st.floats(0.1, 10.0), st.floats(1.0, 10.0))
+
+
+def _snapshot(state):
+    return (dict(state.counters), state.rm, state.train, [id(e) for e in state.train],
+            state.model, state._last_fit_size, state._next_index)
+
+
+class QueryLadderMachine(RuleBasedStateMachine):
+    """In-box queries mixed with queries failing inside a layer or outside the box."""
+
+    mode = "size_threshold"
+
+    def __init__(self):
+        super().__init__()
+        self.state = make_state(n_cells=16, n_steps=16, box=STATEFUL_BOX, trust_mode=self.mode,
+                                trust_threshold=6, retrain_every=1)
+        self.next_index = 1
+
+    def _check(self, record):
+        cfg = self.state.config
+        assert record.index == self.next_index
+        self.next_index += 1
+        if record.model_used == "RB":
+            assert record.delta_rb <= cfg.rom_tol
+        if record.model_used == "ML" and cfg.trust_mode == "always_validate":
+            assert record.ml_certificate <= cfg.validation_slack * cfg.rom_tol
+
+    @rule(mu=STATEFUL_POINTS)
+    def query(self, mu):
+        self._check(self.state.query(mu)[1])
+
+    @rule(mu=STATEFUL_POINTS, layer=st.sampled_from(["solve_fom", "enrich", "fit"]))
+    def failing_query(self, mu, layer):
+        import hiermor.hierarchy as hierarchy_mod
+
+        before = _snapshot(self.state)
+        with mock.patch.object(hierarchy_mod, layer, side_effect=RuntimeError("synthetic")):
+            try:
+                record = self.state.query(mu)[1]
+            except RuntimeError:
+                assert _snapshot(self.state) == before
+                return
+        self._check(record)  # the answering tier never reached the broken layer
+
+    @rule()
+    def outside_query(self):
+        before = _snapshot(self.state)
+        with pytest.raises(ValueError):
+            self.state.query(ParameterPoint(100.0, 5.0))
+        assert _snapshot(self.state) == before
+
+
+class ValidatedLadderMachine(QueryLadderMachine):
+    mode = "always_validate"
+
+
+class NeverTrustLadderMachine(QueryLadderMachine):
+    mode = "never"
+
+
+def _bounded(machine):
+    case = machine.TestCase
+    case.settings = settings(max_examples=8, stateful_step_count=16, derandomize=True,
+                             deadline=None)
+    return case
+
+
+TestQueryLadder = _bounded(QueryLadderMachine)
+TestValidatedLadder = _bounded(ValidatedLadderMachine)
+TestNeverTrustLadder = _bounded(NeverTrustLadderMachine)

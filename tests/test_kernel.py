@@ -110,6 +110,19 @@ def test_training_set_keeps_insertion_order():
     assert train.entries[1].qoi.values[0] == 9.0
 
 
+def test_training_set_copy_is_independent():
+    train = TrainingSet()
+    mu, other = ParameterPoint(1.0, 10.0), ParameterPoint(2.0, 5.0)
+    train.add(mu, make_qoi(np.ones(N_TIME)), "RB")
+    copy = train.copy()
+    copy.add(mu, make_qoi(2 * np.ones(N_TIME)), "FOM")  # replaces in the copy only
+    copy.add(other, make_qoi(np.ones(N_TIME)), "FOM")
+    assert [e.source for e in train] == ["RB"] and len(train) == 1
+    assert [(e.mu, e.source) for e in copy] == [(mu, "FOM"), (other, "FOM")]
+    train.add(other, make_qoi(3 * np.ones(N_TIME)), "RB")  # positions are tracked apart
+    assert len(copy) == 2 and copy.entries[1].qoi.values[0] == 1.0
+
+
 def test_training_set_rejects_unknown_source():
     with pytest.raises(ValueError):
         TrainingSet().add(ParameterPoint(1, 10), make_qoi(np.ones(N_TIME)), "EXACT")
