@@ -91,7 +91,6 @@ class MlCertificate:
 
     value: float
     delta_rb: float
-    rb_ml_gap: float
     f_rb: QoiVector
     f_ml: QoiVector
 
@@ -171,7 +170,7 @@ class AdaptiveHierarchy:
         f_rb, delta = self.rb_answer(mu)
         f_ml = self.ml_answer(mu)
         gap = qoi_norm(QoiVector(f_rb.values - f_ml.values, f_rb.dt))
-        return MlCertificate(delta + gap, delta, gap, f_rb, f_ml)
+        return MlCertificate(delta + gap, delta, f_rb, f_ml)
 
     # -- the query ladder ------------------------------------------------------
 

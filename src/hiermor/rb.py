@@ -178,7 +178,13 @@ def solve_rb(
     """Implicit Euler on the reduced system; returns (reduced trajectory, QoI).
 
     The trajectory has one row per time step (row 0 = projected initial
-    state).  Nothing here touches an n_dofs-sized object.
+    state).  One solve with the factored step matrix S = M + dt A(mu) gives
+    the one-step propagator a^{k+1} = G a^k + g, G = S^-1 M, g = S^-1 dt b.
+    The rows are then filled by doubling: with rows [0, m) known, row m + j
+    is a^{m+j} = G^m a^j + c_m, c_m = sum_{i<m} G^i g, for j < m; then
+    c_2m = G^m c_m + c_m and G^2m = G^m G^m.  Cost O(r^3 + n_steps r^2) in
+    ceil(log2(n_steps + 1)) trajectory products instead of one triangular
+    solve per step.  Nothing here touches an n_dofs-sized object.
     """
     r = rm.dim
     dt = grid.dt
@@ -194,15 +200,20 @@ def solve_rb(
     except la.LinAlgError as exc:  # pragma: no cover - SPD mass prevents this
         raise RuntimeError("reduced step matrix is singular (degenerate basis)") from exc
 
-    traj = np.empty((grid.n_steps + 1, r))
+    prop = la.lu_solve((lu, piv), np.column_stack([rm.red_mass, dt * red_b]))
+    g_pow, c = prop[:, :r], prop[:, r]  # G^m and c_m, for m = 1
+    n_rows = grid.n_steps + 1
+    traj = np.empty((n_rows, r))
     traj[0] = rm.red_init
-    values = np.empty(grid.n_steps)
-    a = rm.red_init.copy()
-    for k in range(grid.n_steps):
-        a = la.lu_solve((lu, piv), rm.red_mass @ a + dt * red_b)
-        traj[k + 1] = a
-        values[k] = float(rm.red_output @ a)
-    return traj, QoiVector(values, dt)
+    m = 1
+    while m < n_rows:
+        k = min(m, n_rows - m)
+        traj[m: m + k] = traj[:k] @ g_pow.T + c
+        m += k
+        if m < n_rows:
+            c = g_pow @ c + c
+            g_pow = g_pow @ g_pow
+    return traj, QoiVector(traj[1:] @ rm.red_output, dt)
 
 
 def estimate(
@@ -212,7 +223,8 @@ def estimate(
 
     The per-step residual dual norm is the Gramian quadratic form in the
     weights [theta_rhs, -(a^n - a^{n-1})/dt, -theta_q a^n]; online cost
-    O(n_steps * (3 + 4r)^2).
+    O(n_steps * (3 + 4r) * q), q the column count of `riesz_sqrt` (the rank
+    of the residual representers, 70 at r = 36 on the desk config).
     """
     r = rm.dim
     dt = grid.dt

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from hiermor import (
     MeshSpec,
@@ -17,7 +18,7 @@ from hiermor import (
     solve_fom,
     solve_rb,
 )
-from hiermor.fem import load_vector, system_matrix
+from hiermor.fem import load_vector, system_matrix, theta
 from hiermor.pod import h_orthonormalize
 from hiermor.rb import coercivity_constants
 
@@ -47,6 +48,21 @@ def brute_force_dual_norms(ops, mu, full_traj, grid):
         rho = ops.ip_solve(r)
         norms.append(np.sqrt(max(float(rho @ (ops.ip @ rho)), 0.0)))
     return np.array(norms)
+
+
+def stepping_solve_rb(rm, mu, grid):
+    """Reference reduced trajectory: implicit Euler, one LU solve per time step."""
+    th_d, th_a, th_r = theta(mu)
+    red_a = th_d * rm.red_diff + th_a * rm.red_adv + th_r * rm.red_react
+    red_b = th_d * rm.red_load_diff + th_a * rm.red_load_adv + th_r * rm.red_load_react
+    lu_piv = la.lu_factor(rm.red_mass + grid.dt * red_a)
+    traj = np.empty((grid.n_steps + 1, rm.dim))
+    traj[0] = rm.red_init
+    a = rm.red_init.copy()
+    for k in range(grid.n_steps):
+        a = la.lu_solve(lu_piv, rm.red_mass @ a + grid.dt * red_b)
+        traj[k + 1] = a
+    return traj
 
 
 # -- projection ----------------------------------------------------------------
@@ -135,6 +151,24 @@ def test_reproduction_property(small_problem):
     assert err <= 1e-4 * qoi_norm(f_h)
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 255, 256, 1000])
+def test_solve_rb_matches_stepping_reference(small_problem, reference_trajectory, n_steps):
+    # n_steps + 1 rows that are not a power of two end the doubling on a
+    # partial block; a mid-trajectory initial state makes red_init nonzero
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    c0 = traj.coeffs[len(traj.coeffs) // 2]
+    rm = project(ops, pod(traj.coeffs.T, ops.ip, energy_tol=1e-10), c0)
+    grid = TimeGrid(1.0, n_steps)
+    mu = ParameterPoint(2.0, 25.0)
+    rtraj, qoi = solve_rb(rm, mu, grid)
+    ref = stepping_solve_rb(rm, mu, grid)
+    assert rtraj.shape == (n_steps + 1, rm.dim)
+    assert np.array_equal(rtraj[0], rm.red_init)
+    assert np.abs(rtraj - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(qoi.values, rtraj[1:] @ rm.red_output)
+
+
 def test_galerkin_orthogonality_per_step(small_problem):
     ops, grid = small_problem
     mu = ParameterPoint(3.0, 40.0)
@@ -191,6 +225,27 @@ def test_estimator_rigor_random_parameters(small_problem, default_box):
             effectivities.append(delta / err)
     assert effectivities  # informational: median effectivity
     print(f"median effectivity: {np.median(effectivities):.1f}")
+
+
+def test_bound_floor_matches_stepping_reference():
+    # Bases enriched with one and two FOM trajectories put delta_rb between
+    # 2e-2 and 7e-11; above 1e-10 the propagator's roundoff must not move it.
+    ops, grid = assemble(MeshSpec(32)), TimeGrid(1.0, 256)
+    c0 = np.zeros(ops.n_dofs)
+    rng = np.random.default_rng(5)
+    mus = [ParameterPoint(rng.uniform(0.1, 10.0), rng.uniform(1.0, 100.0)) for _ in range(6)]
+    rm = project(ops, empty_basis(ops.n_dofs), c0)
+    floor_checked = []
+    for train_mu in mus[:2]:
+        traj, _ = solve_fom(ops, train_mu, grid, c0)
+        rm, _ = enrich(rm, traj, ops, energy_tol=1e-10, max_modes=100)
+        for mu in mus:
+            ref = estimate(rm, mu, stepping_solve_rb(rm, mu, grid), grid).delta_rb
+            new = estimate(rm, mu, solve_rb(rm, mu, grid)[0], grid).delta_rb
+            if ref >= 1e-10:
+                assert abs(new - ref) <= 1e-3 * ref
+                floor_checked.append(ref)
+    assert min(floor_checked) < 1e-8
 
 
 # -- coercivity --------------------------------------------------------------------
