@@ -10,8 +10,9 @@ classical residual-based bound on the L2-in-time output error
 where r^n is the full-order residual of the reconstructed reduced step,
 C_s the dual norm of the output functional and alpha(mu) a computable
 coercivity lower bound.  Residual dual norms are evaluated online as a
-quadratic form in the reduced coefficients through the precomputed Gramian
-of Riesz representers, so no n_dofs-sized object is touched per query.
+quadratic form in the reduced coefficients through a precomputed factor of
+the Gramian of Riesz representers, so no n_dofs-sized object is touched per
+query.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf
 
 from .fem import FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory, theta
 from .pod import PodBasis, h_orthonormalize, hapod, pod
@@ -42,12 +43,11 @@ __all__ = [
 class ReducedModel:
     """Projected affine blocks plus everything the online error bound needs.
 
-    `riesz_gram` is the Gramian of the Riesz representers of all residual
-    building blocks, ordered as [load_diff, load_adv, load_react,
-    mass @ basis, diff @ basis, adv @ basis, react @ basis], i.e. of size
-    (3 + 4r) x (3 + 4r); `riesz_sqrt` is a factor with
-    riesz_sqrt @ riesz_sqrt.T == riesz_gram used for the cancellation-free
-    dual-norm evaluation.
+    `riesz_sqrt` is a factor of the Gramian of the Riesz representers of all
+    residual building blocks, ordered as [load_diff, load_adv, load_react,
+    mass @ basis, diff @ basis, adv @ basis, react @ basis]: it has 3 + 4r
+    rows and riesz_sqrt @ riesz_sqrt.T is that (3 + 4r) x (3 + 4r) Gramian.
+    Only the factor is kept, for the cancellation-free dual-norm evaluation.
 
     Immutable: enrichment builds a new model instead of mutating, so
     concurrent queries against one instance are safe.
@@ -63,7 +63,6 @@ class ReducedModel:
     red_load_react: np.ndarray
     red_output: np.ndarray
     red_init: np.ndarray
-    riesz_gram: np.ndarray
     riesz_sqrt: np.ndarray
     output_dual_norm: float
     gamma_diff: float
@@ -82,23 +81,44 @@ class ErrorBound:
     residual_norms: np.ndarray
 
 
+def _tridiagonal(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Main and first off-diagonal of a symmetric tridiagonal sparse matrix."""
+    coo = mat.tocoo()
+    off = mat.diagonal(1)
+    if np.any((abs(coo.col - coo.row) > 1) & (coo.data != 0)) or np.any(off != mat.diagonal(-1)):
+        raise ValueError("coercivity bisection needs symmetric tridiagonal operators")
+    return mat.diagonal(), off
+
+
+def _pencil_min_eig(a, b) -> float:
+    """Largest s found by bisection at which a - s b (b SPD) factors by Cholesky."""
+    ad, ae = _tridiagonal(a)
+    bd, be = _tridiagonal(b)
+    if dpttrf(ad, ae)[2] != 0:
+        raise ValueError("operator is not positive definite; 0 is no coercivity bound")
+    lo, hi = 0.0, float(np.min(ad / bd))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if dpttrf(ad - mid * bd, ae - mid * be)[2] == 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
     """Minimal generalized eigenvalues of (diff, ip) and (react, ip).
 
-    Computed once per operator set and cached on it.  A deterministic start
-    vector keeps the Lanczos iteration reproducible bit for bit.
+    Computed once per operator set and cached on it.  By Sylvester's law of
+    inertia, a - s ip is positive definite exactly below the pencil's minimal
+    eigenvalue.  Bisection brackets it in [0, min_i a_ii / ip_ii] (0 once a
+    itself factors; a unit vector's Rayleigh quotient is at or above the
+    minimum) and tests each midpoint with one O(n_dofs) tridiagonal Cholesky
+    factorization, O(n_dofs log(1/eps)) in all.  The value is the bracket's
+    lower end, at which the factorization succeeded.  Raises ValueError for
+    an operator that is not symmetric tridiagonal or not positive definite.
     """
     if ops._coercivity is None:
-        v0 = np.ones(ops.n_dofs)
-        gamma_diff = float(
-            spla.eigsh(ops.diff, k=1, M=ops.ip, sigma=0.0, which="LM",
-                       v0=v0, return_eigenvectors=False)[0]
-        )
-        gamma_react = float(
-            spla.eigsh(ops.react, k=1, M=ops.ip, sigma=0.0, which="LM",
-                       v0=v0, return_eigenvectors=False)[0]
-        )
-        ops._coercivity = (gamma_diff, gamma_react)
+        ops._coercivity = (_pencil_min_eig(ops.diff, ops.ip), _pencil_min_eig(ops.react, ops.ip))
     return ops._coercivity
 
 
@@ -121,7 +141,7 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
 
     Cost is O(n_dofs * r * n_affine) and pays once per enrichment, never per
     query: the Riesz representers of every residual component are solved here
-    and only their Gramian is kept.
+    and only a factor of their Gramian is kept.
     """
     phi = basis.modes
     r = basis.dim
@@ -162,7 +182,6 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
         red_load_react=phi.T @ ops.load_react,
         red_output=phi.T @ ops.output,
         red_init=red_init,
-        riesz_gram=coord.T @ coord,
         riesz_sqrt=coord.T,
         output_dual_norm=c_s,
         gamma_diff=gamma_diff,

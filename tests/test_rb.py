@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf
 
 from hiermor import (
     MeshSpec,
@@ -92,12 +96,17 @@ def test_projected_blocks_match_definition(small_problem):
         assert np.abs(red - phi.T @ (mat @ phi)).max() < 1e-12
 
 
-def test_riesz_gram_psd(small_problem):
+def test_riesz_sqrt_factors_brute_force_gram(small_problem):
     ops, _ = small_problem
-    rm = project(ops, random_basis(ops, 3, seed=4), np.zeros(ops.n_dofs))
-    evals = np.linalg.eigvalsh(rm.riesz_gram)
-    assert evals.min() >= -1e-10
-    assert np.abs(rm.riesz_gram - rm.riesz_gram.T).max() == 0.0
+    basis = random_basis(ops, 3, seed=4)
+    rm = project(ops, basis, np.zeros(ops.n_dofs))
+    phi = basis.modes
+    components = np.column_stack(
+        [ops.load_diff, ops.load_adv, ops.load_react]
+        + [mat @ phi for mat in (ops.mass, ops.diff, ops.adv, ops.react)]
+    )
+    gram = components.T @ ops.ip_solve(components)
+    assert np.abs(rm.riesz_sqrt @ rm.riesz_sqrt.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
 @pytest.mark.parametrize("n_cells", [16, 256])
@@ -280,6 +289,43 @@ def test_coercivity_constants_are_rayleigh_lower_bounds(small_problem):
         hv = float(v @ (ops.ip @ v))
         assert float(v @ (ops.diff @ v)) / hv >= gamma_diff - 1e-10
         assert float(v @ (ops.react @ v)) / hv >= gamma_react - 1e-10
+
+
+@pytest.mark.parametrize("n_cells", [16, 256, 2048])
+def test_coercivity_constants_closed_form(n_cells):
+    # eigenvalues of (diff, mass) on the mesh with Dirichlet inflow and a free
+    # outflow node; (diff, ip) and (react, ip) have k / (1 + k) and 1 / (1 + k)
+    ops = assemble(MeshSpec(n_cells))
+    h = 1.0 / n_cells
+    th = (2 * np.arange(1, n_cells + 1) - 1) * np.pi / (2 * n_cells)
+    kappa = 6.0 / h**2 * (1 - np.cos(th)) / (2 + np.cos(th))
+    gamma_diff, gamma_react = coercivity_constants(ops)
+    assert gamma_diff == pytest.approx(kappa[0] / (1 + kappa[0]), rel=1e-9)
+    assert gamma_react == pytest.approx(1 / (1 + kappa[-1]), rel=1e-9)
+    for gamma, mat in ((gamma_diff, ops.diff), (gamma_react, ops.react)):
+        at, above = ((mat - s * ops.ip).tocsr() for s in (gamma, gamma * (1 + 1e-9)))
+        assert dpttrf(at.diagonal(), at.diagonal(1))[2] == 0
+        assert dpttrf(above.diagonal(), above.diagonal(1))[2] != 0
+
+
+@pytest.mark.parametrize(
+    "make_diff",
+    [
+        lambda ops: ops.diff + sp.csr_matrix(([1e-3, 1e-3], ([0, 5], [5, 0])), shape=ops.diff.shape),
+        lambda ops: ops.adv,
+    ],
+    ids=["band", "skew"],
+)
+def test_coercivity_constants_reject_non_tridiagonal_symmetric(small_problem, make_diff):
+    ops, _ = small_problem
+    with pytest.raises(ValueError, match="symmetric tridiagonal"):
+        coercivity_constants(dataclasses.replace(ops, diff=make_diff(ops)))
+
+
+def test_coercivity_constants_reject_indefinite_operator(small_problem):
+    ops, _ = small_problem
+    with pytest.raises(ValueError, match="not positive definite"):
+        coercivity_constants(dataclasses.replace(ops, react=-ops.mass))
 
 
 # -- enrichment ---------------------------------------------------------------------
