@@ -74,13 +74,14 @@ class ValidationRow:
     ml_error: float
     certificate: float
 
+    # Written as "not within" so that a NaN error or bound is a violation.
     @property
     def rb_violated(self) -> bool:
-        return self.rb_error > self.delta_rb + BOUND_SLACK
+        return not self.rb_error <= self.delta_rb + BOUND_SLACK
 
     @property
     def ml_violated(self) -> bool:
-        return self.ml_error > self.certificate + BOUND_SLACK
+        return not self.ml_error <= self.certificate + BOUND_SLACK
 
 
 def _effectivity(name: str, pairs: list[tuple[float, float]]) -> str:

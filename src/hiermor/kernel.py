@@ -11,10 +11,10 @@ n_steps output values without time integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
+from scipy.linalg.lapack import dtrtrs
 
 from .fem import ParameterBox, ParameterPoint, QoiVector
 
@@ -140,6 +140,8 @@ class KernelModel:
     `newton_cholesky` is the lower-triangular factor of the kernel matrix
     restricted to the centers (plus nugget), in selection order;
     `coeff_block` holds one row of Newton coefficients per center.
+    `normalized_centers`, derived on every construction, caches the centers
+    in box-normalized coordinates, so a prediction normalizes only its mu.
     Immutable after fit; concurrent predictions are safe.
     """
 
@@ -148,6 +150,11 @@ class KernelModel:
     coeff_block: np.ndarray
     config: KernelConfig
     dt: float
+    normalized_centers: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mus = np.array([[c.da, c.pe] for c in self.centers]).reshape(-1, 2)
+        self.normalized_centers = _normalize(self.config.box, mus)
 
     @property
     def n_centers(self) -> int:
@@ -226,11 +233,17 @@ def fit(data: TrainingSet, config: KernelConfig) -> KernelModel:
 
 
 def _newton_values(model: KernelModel, mu: ParameterPoint) -> np.ndarray:
-    """Newton basis functions evaluated at mu (length n_centers)."""
-    mus = np.array([[c.da, c.pe] for c in model.centers])
-    z = _normalize(model.config.box, np.vstack([mus, [[mu.da, mu.pe]]]))
-    cross = _kernel_matrix(z[-1:], z[:-1], model.config.shape)[0]
-    return la.solve_triangular(model.newton_cholesky, cross, lower=True)
+    """Newton basis functions evaluated at mu (length n_centers).
+
+    L nu = k(centers, mu) is solved as the transposed upper system on L.T,
+    the LAPACK call `solve_triangular` makes for the C-ordered factor.
+    """
+    z = _normalize(model.config.box, np.array([[mu.da, mu.pe]]))
+    cross = _kernel_matrix(z, model.normalized_centers, model.config.shape)[0]
+    nu, info = dtrtrs(model.newton_cholesky.T, cross, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Newton factor is singular or malformed (trtrs info {info})")
+    return nu
 
 
 def predict(model: KernelModel, mu: ParameterPoint) -> QoiVector:

@@ -25,7 +25,8 @@ def _fmt(x: float) -> str:
 
 
 def summary_text(records: list[QueryRecord]) -> str:
-    """Per-branch counts and timings plus final state sizes.
+    """Per-branch counts and timings, final state sizes and the number of ML
+    answers that carry no certificate (`size_threshold` trust).
 
     All statistics are recomputable from the query-log CSV: the 17-digit
     float format used there round-trips exactly.
@@ -40,6 +41,8 @@ def summary_text(records: list[QueryRecord]) -> str:
     if records:
         lines.append(f"final rb_dim: {records[-1].rb_dim_after}")
         lines.append(f"final train_size: {records[-1].train_size_after}")
+    uncertified = sum(r.model_used == "ML" and r.ml_certificate is None for r in records)
+    lines.append(f"ML uncertified count: {uncertified}")
     certs = [r.ml_certificate for r in records if r.ml_certificate is not None]
     lines.append(f"max_certificate: {_fmt(max(certs)) if certs else 'n/a'}")
     return "\n".join(lines) + "\n"

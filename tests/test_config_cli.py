@@ -182,6 +182,9 @@ def test_summary_recomputable_from_csv(tmp_path):
             )
     assert int(parsed["final rb_dim"]) == int(rows[-1]["rb_dim_after"])
     assert int(parsed["final train_size"]) == int(rows[-1]["train_size_after"])
+    uncertified = sum(r["model_used"] == "ML" and r["ml_certificate"] == "" for r in rows)
+    assert uncertified > 0  # trust_threshold = 6 answers the later queries by size
+    assert int(parsed["ML uncertified count"]) == uncertified
 
 
 def test_svg_is_self_contained_with_marker_per_query(tmp_path):
@@ -314,6 +317,27 @@ def test_validate_run_solves_rb_once_per_point(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "_execute_sweep", sweep_then_count)
     validate_run(load_config(write_small_config(tmp_path)), 3)
     assert len(calls) == 3
+
+
+def test_nan_error_or_bound_is_a_violation():
+    import math
+
+    from hiermor.cli import ValidationReport, ValidationRow
+    from hiermor.fem import ParameterPoint
+
+    mu = ParameterPoint(1.0, 10.0)
+    rows = [
+        ValidationRow(mu, rb_error=1e-3, delta_rb=1e-2, ml_error=1e-3, certificate=1e-2),
+        ValidationRow(mu, rb_error=1e-3, delta_rb=math.nan, ml_error=1e-3, certificate=1e-2),
+        ValidationRow(mu, rb_error=1e-3, delta_rb=1e-2, ml_error=1e-3, certificate=math.nan),
+        ValidationRow(mu, rb_error=math.nan, delta_rb=1e-2, ml_error=math.nan, certificate=1e-2),
+    ]
+    assert [r.rb_violated for r in rows] == [False, True, False, True]
+    assert [r.ml_violated for r in rows] == [False, False, True, True]
+    report = ValidationReport(rows)
+    assert report.n_violations == 3
+    assert report.text().count("VIOLATED") == 3
+    assert report.text().endswith("violations: 3\n")
 
 
 def test_validation_with_full_space_basis_override(tmp_path):

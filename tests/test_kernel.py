@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from hiermor.kernel import (
     power_function,
     predict,
     save_model,
+    _kernel_matrix,
     _normalize,
 )
 
@@ -47,6 +49,16 @@ def grid_points(n, box=BOX):
     das = np.linspace(box.da_min, box.da_max, n)
     pes = np.geomspace(box.pe_min, box.pe_max, n)
     return [ParameterPoint(da, pe) for da, pe in zip(das, pes)]
+
+
+def reference_predict(model, mu):
+    """Per-call reference: normalize the centers with mu, scipy's triangular solve."""
+    if model.n_centers == 0:
+        return np.zeros(model.coeff_block.shape[1])
+    mus = np.array([[c.da, c.pe] for c in model.centers] + [[mu.da, mu.pe]])
+    z = _normalize(model.config.box, mus)
+    cross = _kernel_matrix(z[-1:], z[:-1], model.config.shape)[0]
+    return la.solve_triangular(model.newton_cholesky, cross, lower=True) @ model.coeff_block
 
 
 # -- kernel function ---------------------------------------------------------
@@ -308,6 +320,34 @@ def test_norm_of_difference_matches_direct_formula():
     a, b = rng.standard_normal(N_TIME), rng.standard_normal(N_TIME)
     gap = qoi_norm(QoiVector(a - b, DT))
     assert gap == pytest.approx(math.sqrt(DT * ((a - b) ** 2).sum()), rel=1e-14)
+
+
+def test_predict_matches_reference_bit_for_bit(tmp_path):
+    # the cached normalized centers must follow every way a model is made:
+    # fit, load_model, and dataclasses.replace (down to a nested sub-model)
+    data = synthetic_targets(grid_points(9), seed=15)
+    model = fit(training_set(data), dataclasses.replace(CONFIG, greedy_tol=0.0))
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    k = model.n_centers // 2
+    models = [
+        model,
+        load_model(path),
+        dataclasses.replace(model, centers=model.centers[:k],
+                            newton_cholesky=model.newton_cholesky[:k, :k],
+                            coeff_block=model.coeff_block[:k]),
+        dataclasses.replace(model, centers=[], newton_cholesky=np.zeros((0, 0)),
+                            coeff_block=np.zeros((0, N_TIME))),
+    ]
+    assert model.n_centers >= 4
+    probes = grid_points(6) + [ParameterPoint(3.3, 47.0)] + model.centers[:2]
+    for m in models:
+        assert m.normalized_centers.shape == (m.n_centers, 2)
+        for mu in probes:
+            assert np.array_equal(predict(m, mu).values, reference_predict(m, mu))
+    singular = dataclasses.replace(model, newton_cholesky=np.zeros_like(model.newton_cholesky))
+    with pytest.raises(np.linalg.LinAlgError):
+        predict(singular, probes[0])
 
 
 # -- serialization ----------------------------------------------------------------

@@ -24,7 +24,7 @@ from hiermor import (
 )
 from hiermor.fem import load_vector, system_matrix, theta
 from hiermor.pod import h_orthonormalize
-from hiermor.rb import coercivity_constants
+from hiermor.rb import ErrorBound, coercivity_constants
 
 
 def empty_basis(n):
@@ -67,6 +67,24 @@ def stepping_solve_rb(rm, mu, grid):
         a = la.lu_solve(lu_piv, rm.red_mass @ a + grid.dt * red_b)
         traj[k + 1] = a
     return traj
+
+
+def weights_estimate(rm, mu, reduced_traj, grid):
+    """Reference bound: one (3 + 4r)-column weight row per step times all of riesz_sqrt."""
+    r, dt, n = rm.dim, grid.dt, grid.n_steps
+    th_d, th_a, th_r = theta(mu)
+    a_now = reduced_traj[1:]
+    weights = np.empty((n, 3 + 4 * r))
+    weights[:, :3] = th_d, th_a, th_r
+    weights[:, 3: 3 + r] = -(a_now - reduced_traj[:-1]) / dt
+    weights[:, 3 + r: 3 + 2 * r] = -th_d * a_now
+    weights[:, 3 + 2 * r: 3 + 3 * r] = -th_a * a_now
+    weights[:, 3 + 3 * r:] = -th_r * a_now
+    mapped = weights @ rm.riesz_sqrt
+    sq = np.einsum("ni,ni->n", mapped, mapped)
+    alpha, c_s = coercivity_lb(rm, mu), rm.output_dual_norm
+    delta_sq = (c_s / alpha) ** 2 * dt * float(sq.sum()) + c_s**2 / alpha * rm.init_error**2
+    return ErrorBound(np.sqrt(delta_sq), np.sqrt(sq))
 
 
 # -- projection ----------------------------------------------------------------
@@ -178,6 +196,16 @@ def test_solve_rb_matches_stepping_reference(small_problem, reference_trajectory
     assert np.array_equal(qoi.values, rtraj[1:] @ rm.red_output)
 
 
+def test_solve_rb_singular_step_raises(small_problem):
+    ops, grid = small_problem
+    rm = project(ops, random_basis(ops, 3, seed=9), np.zeros(ops.n_dofs))
+    zero = np.zeros_like(rm.red_mass)
+    degenerate = dataclasses.replace(rm, red_mass=zero, red_diff=zero, red_adv=zero,
+                                     red_react=zero)
+    with pytest.raises(RuntimeError, match="singular"):
+        solve_rb(degenerate, ParameterPoint(1.0, 10.0), grid)
+
+
 def test_galerkin_orthogonality_per_step(small_problem):
     ops, grid = small_problem
     mu = ParameterPoint(3.0, 40.0)
@@ -255,6 +283,39 @@ def test_bound_floor_matches_stepping_reference():
                 assert abs(new - ref) <= 1e-3 * ref
                 floor_checked.append(ref)
     assert min(floor_checked) < 1e-8
+
+
+@pytest.mark.parametrize("nonzero_c0", [False, True])
+def test_estimate_matches_weights_reference(nonzero_c0):
+    # The empty basis, then bases enriched with one and two FOM trajectories,
+    # put delta_rb between the r = 0 bound and the 1e-10 floor
+    ops, grid = assemble(MeshSpec(32)), TimeGrid(1.0, 256)
+    rng = np.random.default_rng(5)
+    mus = [ParameterPoint(rng.uniform(0.1, 10.0), rng.uniform(1.0, 100.0)) for _ in range(6)]
+    c0 = np.zeros(ops.n_dofs)
+    if nonzero_c0:
+        c0 = solve_fom(ops, mus[-1], grid, c0)[0].coeffs[grid.n_steps // 8]
+    rm = project(ops, empty_basis(ops.n_dofs), c0)
+    checked = []
+    for train_mu in [None] + mus[:2]:
+        if train_mu is not None:
+            traj, _ = solve_fom(ops, train_mu, grid, c0)
+            rm, _ = enrich(rm, traj, ops, energy_tol=1e-10, max_modes=100)
+        for mu in mus:
+            rtraj, _ = solve_rb(rm, mu, grid)
+            ref, new = weights_estimate(rm, mu, rtraj, grid), estimate(rm, mu, rtraj, grid)
+            rel = abs(new.delta_rb - ref.delta_rb) / ref.delta_rb
+            if ref.delta_rb >= 1e-8:
+                assert rel <= 1e-7
+            elif ref.delta_rb >= 1e-10:
+                assert rel <= 1e-3
+            # both map the same residual: they differ by roundoff in its
+            # largest term, the load (the r = 0 residual)
+            load = np.linalg.norm(np.asarray(theta(mu)) @ rm.riesz_sqrt[:3])
+            assert np.abs(new.residual_norms - ref.residual_norms).max() <= 1e-13 * load
+            checked.append((rm.dim, ref.delta_rb))
+    assert min(r for r, _ in checked) == 0
+    assert min(d for _, d in checked) < 1e-8
 
 
 # -- coercivity --------------------------------------------------------------------
