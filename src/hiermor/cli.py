@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import statistics
 import sys
 from dataclasses import dataclass
@@ -84,6 +85,14 @@ class ValidationRow:
         return not self.ml_error <= self.certificate + BOUND_SLACK
 
 
+def _worst_ratio(pairs: list[tuple[float, float]]) -> float:
+    """Largest error / bound, agreeing with the VIOLATED flags: a nonzero
+    error over a zero bound is inf, and any NaN makes the worst NaN."""
+    ratios = [error / bound if bound else (error * math.inf if error else 0.0)
+              for error, bound in pairs]
+    return math.nan if any(map(math.isnan, ratios)) else max(ratios)
+
+
 def _effectivity(name: str, pairs: list[tuple[float, float]]) -> str:
     """Min, median and max of bound / error over the rows with a nonzero error."""
     ratios = [bound / error for bound, error in pairs if error > 0.0]
@@ -112,14 +121,10 @@ class ValidationReport:
                 f"{r.ml_error:.6e} {r.certificate:.6e}{flag}"
             )
         if self.rows:
-            lines.append(
-                f"worst rb_error/bound: "
-                f"{max((r.rb_error / r.delta_rb if r.delta_rb else 0.0) for r in self.rows):.3e}"
-            )
-            lines.append(
-                f"worst ml_error/bound: "
-                f"{max((r.ml_error / r.certificate if r.certificate else 0.0) for r in self.rows):.3e}"
-            )
+            worst_rb = _worst_ratio([(r.rb_error, r.delta_rb) for r in self.rows])
+            worst_ml = _worst_ratio([(r.ml_error, r.certificate) for r in self.rows])
+            lines.append(f"worst rb_error/bound: {worst_rb:.3e}")
+            lines.append(f"worst ml_error/bound: {worst_ml:.3e}")
             lines.append(_effectivity("delta_rb/rb_error", [(r.delta_rb, r.rb_error) for r in self.rows]))
             lines.append(_effectivity("certificate/ml_error", [(r.certificate, r.ml_error) for r in self.rows]))
         lines.append(f"violations: {self.n_violations}")

@@ -16,6 +16,9 @@ all stored matrices and vectors stay parameter independent:
 
     A(mu) = (1/pe) * diff + adv + da * react,
     b(mu) = (1/pe) * load_diff + load_adv + da * load_react.
+
+Every operator is tridiagonal, so the time stepping and the H inner product
+solves call the LAPACK tridiagonal routines on the matrices' diagonals.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dtbtrs
 
 __all__ = [
     "ParameterBox",
@@ -157,8 +160,8 @@ class FomOperators:
     product mass + diff used for all orthogonality and dual-norm computations.
 
     Treated as immutable after assembly (solvers for distinct parameters may
-    share one instance); the cached factorizations are created lazily on
-    first use.
+    share one instance); the cached coercivity constants are computed lazily
+    on first use.
     """
 
     mass: sp.csr_matrix
@@ -172,14 +175,21 @@ class FomOperators:
     ip: sp.csr_matrix
     n_dofs: int
     inflow_value: float
-    _ip_lu: object = field(default=None, init=False, repr=False, compare=False)
     _coercivity: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def ip_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ip @ x = rhs (vector or matrix rhs); factorization is cached."""
-        if self._ip_lu is None:
-            self._ip_lu = spla.splu(self.ip.tocsc())
-        return self._ip_lu.solve(rhs)
+    def ip_half_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Y = D^-1/2 L^-1 rhs for ip = L D L^T, L unit lower bidiagonal.
+
+        Y^T Y = rhs^T ip^-1 rhs, so each column's Euclidean norm is its dual
+        norm and Gramians of Riesz representers are Gramians of Y, with no
+        full solve and no squared Gram matrix.  rhs: (n_dofs, m) matrix.
+        """
+        d, e, info = dpttrf(self.ip.diagonal(), self.ip.diagonal(1))
+        if info != 0:
+            raise ValueError("inner product matrix is not positive definite")
+        band = np.vstack([np.ones(self.n_dofs), np.append(e, 0.0)])
+        y, _ = dtbtrs(band, rhs, uplo="L", diag="U")
+        return y / np.sqrt(d)[:, None]
 
 
 def theta(mu: ParameterPoint) -> tuple[float, float, float]:
@@ -262,26 +272,33 @@ def solve_fom(
 ) -> tuple[Trajectory, QoiVector]:
     """March (mass + dt A(mu)) c^n = mass c^{n-1} + dt (b(mu) + source(t_n)).
 
-    The step matrix is factorized once and reused for all n_steps solves.
-    `source`, when given, must return an already assembled load vector; it is
-    a hook for manufactured-solution studies and is None in production runs.
+    The tridiagonal step matrix is factorized once by LAPACK GTTRF; each step
+    forms its right-hand side from the mass matrix's diagonals in place, in
+    the trajectory's next row, and solves there with GTTRS.  Raises
+    RuntimeError when the step matrix is exactly singular.  `source`, when
+    given, must return an already assembled load vector; it is a hook for
+    manufactured-solution studies and is None in production runs.
     """
     if c0.shape != (ops.n_dofs,):
         raise ValueError("c0 has wrong length")
     dt = grid.dt
-    step_matrix = (ops.mass + dt * system_matrix(ops, mu)).tocsc()
-    lu = spla.splu(step_matrix)
-    b = load_vector(ops, mu)
+    step_matrix = ops.mass + dt * system_matrix(ops, mu)
+    dl, d, du, du2, ipiv, info = dgttrf(
+        step_matrix.diagonal(-1), step_matrix.diagonal(), step_matrix.diagonal(1))
+    if info > 0:
+        raise RuntimeError("full-order step matrix is singular")
+    dt_b = dt * load_vector(ops, mu)
+    m_diag, m_off = ops.mass.diagonal(), ops.mass.diagonal(1)  # mass is symmetric
 
     coeffs = np.empty((grid.n_steps + 1, ops.n_dofs))
     coeffs[0] = c0
-    values = np.empty(grid.n_steps)
-    c = c0.copy()
     for k, t in enumerate(grid.times()):
-        rhs = ops.mass @ c + dt * b
+        c, rhs = coeffs[k], coeffs[k + 1]
+        np.multiply(m_diag, c, out=rhs)
+        rhs[1:] += m_off * c[:-1]
+        rhs[:-1] += m_off * c[1:]
+        rhs += dt_b
         if source is not None:
             rhs += dt * source(t)
-        c = lu.solve(rhs)
-        coeffs[k + 1] = c
-        values[k] = float(ops.output @ c)
-    return Trajectory(coeffs), QoiVector(values, dt)
+        dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+    return Trajectory(coeffs), QoiVector(coeffs[1:] @ ops.output, dt)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpttrf
+from scipy.linalg.lapack import dgeqp3, dgesv, dpttrf
 
 from .fem import FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory, theta
 from .pod import PodBasis, h_orthonormalize, hapod, pod
@@ -45,8 +45,10 @@ class ReducedModel:
     `riesz_sqrt` is a factor of the Gramian of the Riesz representers of all
     residual building blocks, ordered as [load_diff, load_adv, load_react,
     mass @ basis, diff @ basis, adv @ basis, react @ basis]: it has 3 + 4r
-    rows and riesz_sqrt @ riesz_sqrt.T is that (3 + 4r) x (3 + 4r) Gramian.
-    Only the factor is kept, for the cancellation-free dual-norm evaluation.
+    rows, one column per numerical rank of the representers, and
+    riesz_sqrt @ riesz_sqrt.T is that (3 + 4r) x (3 + 4r) Gramian up to
+    `RIESZ_DROP_TOL`.  Only the factor is kept, for the cancellation-free
+    dual-norm evaluation.
 
     Immutable: enrichment builds a new model instead of mutating, so
     concurrent queries against one instance are safe.
@@ -135,12 +137,38 @@ def coercivity_lb(rm: ReducedModel, mu: ParameterPoint) -> float:
     return alpha
 
 
+# Largest share of a residual component's dual norm that the Riesz factor
+# may drop, relative to max(that norm, 1).
+RIESZ_DROP_TOL = 1e-10
+
+
+def _riesz_factor(y: np.ndarray) -> np.ndarray:
+    """F with F @ F.T = Y^T Y up to the drop rule, from a pivoted QR of Y.
+
+    Y P = Q R; row i of R carries no column beyond the i-th pivot, so keeping
+    R's leading k rows drops ||R[k:, j]|| of column j.  k is the smallest
+    value for which that is at most RIESZ_DROP_TOL * max(||R[:, j]||, 1) for
+    every j.  F = (R[:k] P^T)^T, shape (columns of Y, k).
+    """
+    m = y.shape[1]
+    qr, jpvt, *_ = dgeqp3(y, lwork=2 * m + (m + 1) * 32)  # blocked, block size 32
+    rows = np.triu(qr[: min(qr.shape)])
+    # tails[i, j] = ||R[i:, j]||^2, summed from the bottom so nothing cancels
+    tails = np.cumsum(rows[::-1] ** 2, axis=0)[::-1]
+    allowed = (RIESZ_DROP_TOL * np.maximum(np.sqrt(tails[0]), 1.0)) ** 2
+    fits = np.all(tails <= allowed, axis=1)
+    k = int(np.argmax(fits)) if fits.any() else rows.shape[0]
+    factor = np.empty((k, m))
+    factor[:, jpvt - 1] = rows[:k]
+    return factor.T
+
+
 def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
     """Build all reduced quantities for the given H-orthonormal basis.
 
-    Cost is O(n_dofs * r * n_affine) and pays once per enrichment, never per
-    query: the Riesz representers of every residual component are solved here
-    and only a factor of their Gramian is kept.
+    Cost is O(n_dofs * r^2) and pays once per enrichment, never per query:
+    the residual components are mapped by one bidiagonal half-solve with the
+    Cholesky factor of ip, and only a factor of their Riesz Gramian is kept.
     """
     phi = basis.modes
     r = basis.dim
@@ -148,22 +176,21 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
     red = {name: phi.T @ (mat @ phi) for name, mat in
            (("mass", ops.mass), ("diff", ops.diff), ("adv", ops.adv), ("react", ops.react))}
 
-    components = np.empty((ops.n_dofs, 3 + 4 * r))
+    components = np.empty((ops.n_dofs, 4 + 4 * r))
     components[:, 0] = ops.load_diff
     components[:, 1] = ops.load_adv
     components[:, 2] = ops.load_react
     for i, mat in enumerate((ops.mass, ops.diff, ops.adv, ops.react)):
         if r:
             components[:, 3 + i * r: 3 + (i + 1) * r] = mat @ phi
-    # Dual norms of residual combinations are ||coord @ w||_2 with `coord`
-    # the Riesz representers' coordinates in an H-orthonormal basis Q of their
-    # span.  Contracting the Gramian with w directly would cancel once the
-    # residual is small; the factored form is exact up to roundoff in coord.
-    # As H @ representers == components, Q^T H representers = Q^T components.
-    q, _ = h_orthonormalize(ops.ip_solve(components), ops.ip, drop_tol=1e-10)
-    coord = q.T @ components
-
-    c_s = math.sqrt(float(ops.output @ ops.ip_solve(ops.output)))
+    components[:, -1] = ops.output
+    # Dual norms of residual combinations are ||w @ riesz_sqrt||_2.  With
+    # ip = L D L^T, Y = D^-1/2 L^-1 C has Gramian Y^T Y = C^T ip^-1 C, the
+    # representers' Gramian, never formed: contracting it with w would cancel
+    # once the residual is small.  The factor is R^T of a pivoted QR of Y.
+    y = ops.ip_half_solve(components)
+    c_s = float(np.linalg.norm(y[:, -1]))
+    riesz_sqrt = _riesz_factor(y[:, :-1])
     gamma_diff, gamma_react = coercivity_constants(ops)
 
     red_init = phi.T @ (ops.ip @ c0) if r else np.zeros(0)
@@ -181,7 +208,7 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
         red_load_react=phi.T @ ops.load_react,
         red_output=phi.T @ ops.output,
         red_init=red_init,
-        riesz_sqrt=coord.T,
+        riesz_sqrt=riesz_sqrt,
         output_dual_norm=c_s,
         gamma_diff=gamma_diff,
         gamma_react=gamma_react,
@@ -248,7 +275,7 @@ def estimate(
     with R_theta = theta_d R_D + theta_a R_A + theta_r R_R formed once per
     mu, and its dual norm is the Euclidean norm of the row.  Online cost
     O(n_steps * 2r * q) in two products, q the column count of `riesz_sqrt`
-    (the rank of the residual representers, 70 at r = 36 on the desk config).
+    (the rank of the residual representers, 47 at r = 36 on the desk config).
     """
     r = rm.dim
     dt = grid.dt

@@ -340,6 +340,30 @@ def test_nan_error_or_bound_is_a_violation():
     assert report.text().endswith("violations: 3\n")
 
 
+def test_worst_ratio_lines_agree_with_flags():
+    import math
+
+    from hiermor.cli import ValidationReport, ValidationRow
+    from hiermor.fem import ParameterPoint
+
+    mu = ParameterPoint(1.0, 10.0)
+    fine = ValidationRow(mu, rb_error=1e-3, delta_rb=1e-2, ml_error=1e-3, certificate=1e-2)
+    zero_bound = ValidationRow(mu, rb_error=1e-3, delta_rb=0.0, ml_error=0.0, certificate=0.0)
+    nan_row = ValidationRow(mu, rb_error=1e-3, delta_rb=1e-2, ml_error=math.nan, certificate=1e-2)
+
+    def worst(rows):
+        lines = ValidationReport(rows).text().splitlines()
+        return [next(line.split(": ")[1] for line in lines if line.startswith(f"worst {tier}"))
+                for tier in ("rb", "ml")]
+
+    assert zero_bound.rb_violated and not zero_bound.ml_violated
+    assert worst([fine, zero_bound]) == worst([zero_bound, fine]) == ["inf", "1.000e-01"]
+    assert nan_row.ml_violated
+    for rows in ([fine, nan_row, zero_bound], [nan_row, zero_bound, fine], [zero_bound, fine, nan_row]):
+        assert worst(rows) == ["inf", "nan"]
+    assert worst([fine]) == ["1.000e-01", "1.000e-01"]
+
+
 def test_validation_with_full_space_basis_override(tmp_path):
     import numpy as np
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -188,6 +190,37 @@ def test_discrete_maximum_principle():
     assert traj.coeffs.max() <= 1.0 + 1e-10
 
 
+def splu_solve_fom(ops, mu, grid, c0, source=None):
+    """Reference stepping: sparse LU of the step matrix, one sparse matvec per step."""
+    dt = grid.dt
+    lu = spla.splu((ops.mass + dt * system_matrix(ops, mu)).tocsc())
+    b = load_vector(ops, mu)
+    rows = [c0.copy()]
+    for t in grid.times():
+        rhs = ops.mass @ rows[-1] + dt * b
+        if source is not None:
+            rhs += dt * source(t)
+        rows.append(lu.solve(rhs))
+    coeffs = np.vstack(rows)
+    return coeffs, coeffs[1:] @ ops.output
+
+
+@pytest.mark.parametrize("n_cells, n_steps", [(256, 256), (2048, 1024)])
+@pytest.mark.parametrize("case", ["zero_c0", "nonzero_c0", "source"])
+def test_solve_fom_matches_splu_stepping(n_cells, n_steps, case):
+    ops, grid = assemble(MeshSpec(n_cells)), TimeGrid(1.0, n_steps)
+    mu = ParameterPoint(3.0, 40.0)
+    x = np.linspace(0.0, 1.0, n_cells + 1)[1:]
+    c0 = np.zeros(ops.n_dofs) if case == "zero_c0" else np.exp(-50.0 * (x - 0.3) ** 2)
+    source = (lambda t: np.sin(np.pi * x) * np.cos(t)) if case == "source" else None
+    traj, qoi = solve_fom(ops, mu, grid, c0, source)
+    ref, ref_qoi = splu_solve_fom(ops, mu, grid, c0, source)
+    assert np.array_equal(traj.coeffs[0], c0)
+    assert np.abs(traj.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(qoi.values - ref_qoi).max() <= 1e-12 * np.abs(ref_qoi).max()
+    assert np.array_equal(qoi.values, traj.coeffs[1:, -1])
+
+
 def test_factorization_reuse_is_bitwise_identical(small_problem):
     ops, grid = small_problem
     mu = ParameterPoint(2.0, 30.0)
@@ -195,17 +228,31 @@ def test_factorization_reuse_is_bitwise_identical(small_problem):
     traj, qoi = solve_fom(ops, mu, grid, c0)
 
     # reference: refactorize the step matrix at every step
-    step = (ops.mass + grid.dt * system_matrix(ops, mu)).tocsc()
+    step = ops.mass + grid.dt * system_matrix(ops, mu)
+    bands = step.diagonal(-1), step.diagonal(), step.diagonal(1)
+    m_diag, m_off = ops.mass.diagonal(), ops.mass.diagonal(1)
     b = load_vector(ops, mu)
     c = c0.copy()
     rows = [c0.copy()]
-    vals = []
     for _ in range(grid.n_steps):
-        c = spla.splu(step).solve(ops.mass @ c + grid.dt * b)
+        rhs = m_diag * c
+        rhs[1:] += m_off * c[:-1]
+        rhs[:-1] += m_off * c[1:]
+        rhs += grid.dt * b
+        *factors, info = dgttrf(*bands)
+        assert info == 0
+        c, info = dgttrs(*factors, rhs)
         rows.append(c.copy())
-        vals.append(float(ops.output @ c))
     assert np.array_equal(traj.coeffs, np.vstack(rows))
-    assert np.array_equal(qoi.values, np.array(vals))
+    assert np.array_equal(qoi.values, np.vstack(rows)[1:] @ ops.output)
+
+
+def test_singular_step_matrix_raises(small_problem):
+    ops, grid = small_problem
+    zero = 0.0 * ops.mass
+    degenerate = dataclasses.replace(ops, mass=zero, diff=zero, adv=zero, react=zero)
+    with pytest.raises(RuntimeError, match="singular"):
+        solve_fom(degenerate, ParameterPoint(1.0, 10.0), grid, np.zeros(ops.n_dofs))
 
 
 # -- coercivity structure -----------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf
 
 from hiermor import (
@@ -49,7 +50,7 @@ def brute_force_dual_norms(ops, mu, full_traj, grid):
     norms = []
     for k in range(1, grid.n_steps + 1):
         r = b - ops.mass @ ((full_traj[k] - full_traj[k - 1]) / grid.dt) - a_mat @ full_traj[k]
-        rho = ops.ip_solve(r)
+        rho = spla.spsolve(ops.ip.tocsc(), r)
         norms.append(np.sqrt(max(float(rho @ (ops.ip @ rho)), 0.0)))
     return np.array(norms)
 
@@ -114,16 +115,57 @@ def test_projected_blocks_match_definition(small_problem):
         assert np.abs(red - phi.T @ (mat @ phi)).max() < 1e-12
 
 
+def residual_components(ops, basis):
+    phi = basis.modes
+    return np.column_stack(
+        [ops.load_diff, ops.load_adv, ops.load_react]
+        + [mat @ phi for mat in (ops.mass, ops.diff, ops.adv, ops.react)]
+    )
+
+
 def test_riesz_sqrt_factors_brute_force_gram(small_problem):
     ops, _ = small_problem
     basis = random_basis(ops, 3, seed=4)
     rm = project(ops, basis, np.zeros(ops.n_dofs))
-    phi = basis.modes
-    components = np.column_stack(
-        [ops.load_diff, ops.load_adv, ops.load_react]
-        + [mat @ phi for mat in (ops.mass, ops.diff, ops.adv, ops.react)]
-    )
-    gram = components.T @ ops.ip_solve(components)
+    components = residual_components(ops, basis)
+    gram = components.T @ spla.spsolve(ops.ip.tocsc(), components)
+    assert np.abs(rm.riesz_sqrt @ rm.riesz_sqrt.T - gram).max() <= 1e-10 * np.abs(gram).max()
+
+
+@pytest.mark.parametrize("n_cells, r", [(32, 0), (32, 3), (256, 12), (256, 28)])
+def test_riesz_sqrt_drops_at_most_tolerance_per_component(n_cells, r):
+    # react == mass, so the representers are dependent and the factor has
+    # fewer than 3 + 4r columns; the three loads are multiples of e_1, so the
+    # empty basis needs one.  A pivoted QR of G^-1 C, H = G G^T by a dense
+    # Cholesky, gives each component's lost H-norm as a tail of R's column.
+    ops = assemble(MeshSpec(n_cells))
+    basis = random_basis(ops, r, seed=6) if r else empty_basis(ops.n_dofs)
+    rm = project(ops, basis, np.zeros(ops.n_dofs))
+    q = rm.riesz_sqrt.shape[1]
+    assert q < 3 + 4 * r
+    if r == 0:
+        assert q == 1
+
+    components = residual_components(ops, basis)
+    y = la.solve_triangular(np.linalg.cholesky(ops.ip.toarray()), components, lower=True)
+    _, rr, piv = la.qr(y, mode="economic", pivoting=True)
+    norms = np.linalg.norm(rr, axis=0)
+    lost = [np.linalg.norm(rr[k:], axis=0) for k in (q, q - 1)]
+    assert np.all(lost[0] <= 1e-10 * np.maximum(norms, 1.0))
+    assert np.any(lost[1] > 1e-10 * np.maximum(norms, 1.0)) or q == 1
+    gram = y.T @ y
+    assert np.abs(rm.riesz_sqrt @ rm.riesz_sqrt.T - gram).max() <= 1e-10 * np.abs(gram).max()
+
+
+def test_riesz_sqrt_of_full_space_basis(small_problem):
+    # 3 + 4n components in n dofs: R is wide and keeps at most n rows
+    ops, _ = small_problem
+    basis = full_basis(ops)
+    rm = project(ops, basis, np.zeros(ops.n_dofs))
+    assert rm.riesz_sqrt.shape[0] == 3 + 4 * ops.n_dofs
+    assert rm.riesz_sqrt.shape[1] <= ops.n_dofs
+    components = residual_components(ops, basis)
+    gram = components.T @ spla.spsolve(ops.ip.tocsc(), components)
     assert np.abs(rm.riesz_sqrt @ rm.riesz_sqrt.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
