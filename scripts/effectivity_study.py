@@ -3,8 +3,10 @@
 
 Builds a basis from one trajectory, then samples the parameter box and
 reports true errors against the bounds.  Effectivity = bound / true error;
-rigor requires every ratio >= 1.
+rigor requires every ratio >= 1.  Exits 1 when any ratio is below 1 or NaN.
 """
+
+import sys
 
 import numpy as np
 
@@ -48,11 +50,13 @@ for _ in range(N_SAMPLES):
     rtraj, f_rb = solve_rb(rm, mu, grid)
     err = qoi_norm(QoiVector(f_h.values - f_rb.values, grid.dt))
     delta = estimate(rm, mu, rtraj, grid).delta_rb
-    eff = delta / err if err > 0 else float("inf")
+    eff = delta / err if err != 0 else float("inf")
     effectivities.append(eff)
     print(f"{mu.da:8.3f} {mu.pe:8.2f} {err:12.3e} {delta:12.3e} {eff:12.1f}")
 
 finite = [e for e in effectivities if np.isfinite(e)]
 print(f"\nmin/median/max effectivity: {min(finite):.1f} / "
       f"{np.median(finite):.1f} / {max(finite):.1f}")
-print("rigor violations:", sum(e < 1.0 for e in effectivities))
+violations = sum(not e >= 1.0 for e in effectivities)
+print("rigor violations:", violations)
+sys.exit(1 if violations else 0)

@@ -94,12 +94,15 @@ def _worst_ratio(pairs: list[tuple[float, float]]) -> float:
 
 
 def _effectivity(name: str, pairs: list[tuple[float, float]]) -> str:
-    """Min, median and max of bound / error over the rows with a nonzero error."""
-    ratios = [bound / error for bound, error in pairs if error > 0.0]
+    """Min, median and max of bound / error over the rows with a nonzero error;
+    all three are NaN when any bound or error is NaN, as in `_worst_ratio`."""
+    ratios = [bound / error for bound, error in pairs if not error <= 0.0]
     if not ratios:
         return f"effectivity {name}: no nonzero errors"
-    return (f"effectivity {name}: min {min(ratios):.3e} "
-            f"median {statistics.median(ratios):.3e} max {max(ratios):.3e} (n={len(ratios)})")
+    any_nan = any(math.isnan(x) for pair in pairs for x in pair)
+    lo, mid, hi = [math.nan] * 3 if any_nan else (min(ratios), statistics.median(ratios), max(ratios))
+    return (f"effectivity {name}: min {lo:.3e} "
+            f"median {mid:.3e} max {hi:.3e} (n={len(ratios)})")
 
 
 @dataclass

@@ -100,8 +100,10 @@ class _Entries:
             raise ConfigError(f"{section}.{key}: {exc}", lineno) from None
 
     def lineno(self, section, key) -> int | None:
+        """Line of section.key, else of the section's first key, else None."""
         item = self._entries.get((section, key))
-        return item[1] if item else None
+        lines = (lineno for (sec, _), (_, lineno) in self._entries.items() if sec == section)
+        return item[1] if item else next(lines, None)
 
     def unknown(self):
         return [
@@ -150,21 +152,23 @@ def parse_config(text: str) -> RunConfig:
     """Build a validated RunConfig from config text; raises ConfigError."""
     ent = _Entries(_parse_lines(text))
 
-    def build(section, message_key, ctor, **kwargs):
+    def build(section, ctor, **kwargs):
         try:
             return ctor(**kwargs)
         except ValueError as exc:
-            raise ConfigError(str(exc), ent.lineno(section, message_key)) from None
+            # Every validation message starts with the offending field's name.
+            key = str(exc).split(" ", 1)[0]
+            raise ConfigError(str(exc), ent.lineno(section, key)) from None
 
     n_cells = ent.get("mesh", "n_cells", _to_int, 256)
-    mesh = build("mesh", "n_cells", MeshSpec, n_cells=n_cells)
+    mesh = build("mesh", MeshSpec, n_cells=n_cells)
 
     t_end = ent.get("time", "t_end", _to_float, 1.0)
     n_steps = ent.get("time", "n_steps", _to_int, 256)
-    grid = build("time", "n_steps", TimeGrid, t_end=t_end, n_steps=n_steps)
+    grid = build("time", TimeGrid, t_end=t_end, n_steps=n_steps)
 
     box = build(
-        "parameters", "da_min", ParameterBox,
+        "parameters", ParameterBox,
         da_min=ent.get("parameters", "da_min", _to_float, 0.1),
         da_max=ent.get("parameters", "da_max", _to_float, 10.0),
         pe_min=ent.get("parameters", "pe_min", _to_float, 1.0),
@@ -172,7 +176,7 @@ def parse_config(text: str) -> RunConfig:
     )
 
     hier = build(
-        "hierarchy", "rom_tol", HierarchyConfig,
+        "hierarchy", HierarchyConfig,
         rom_tol=ent.get("hierarchy", "rom_tol", _to_float, 1e-2),
         retrain_every=ent.get("hierarchy", "retrain_every", _to_int, 10),
         trust_threshold=ent.get("hierarchy", "trust_threshold", _to_int, 50),
@@ -184,7 +188,7 @@ def parse_config(text: str) -> RunConfig:
     )
 
     kern = build(
-        "kernel", "shape", KernelConfig,
+        "kernel", KernelConfig,
         box=box,
         shape=ent.get("kernel", "shape", _to_float, 0.5),
         max_centers=ent.get("kernel", "max_centers", _to_int, 200),

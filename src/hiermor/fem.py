@@ -14,8 +14,7 @@ parameter-dependent operator terms, the load splits into one component per
 affine term and is assembled per parameter by :func:`load_vector`, so that
 all stored matrices and vectors stay parameter independent:
 
-    A(mu) = (1/pe) * diff + adv + da * react,
-    b(mu) = (1/pe) * load_diff + load_adv + da * load_react.
+    A(mu) = sum_q theta_q(mu) A_q,  b(mu) = sum_q theta_q(mu) b_q,  theta(mu) = (1/pe, 1, da).
 
 Every operator is tridiagonal, so the time stepping and the H inner product
 solves call the LAPACK tridiagonal routines on the matrices' diagonals.
@@ -45,6 +44,7 @@ __all__ = [
     "system_matrix",
     "load_vector",
     "theta",
+    "affine",
 ]
 
 
@@ -155,9 +155,10 @@ class Trajectory:
 class FomOperators:
     """Assembled, parameter-independent FEM blocks on the free nodes 1 .. n_cells.
 
-    All matrices are tridiagonal CSR of size n_dofs = n_cells.  `react` is the
-    mass matrix under its affine-term name.  `ip` is the discrete H1 inner
-    product mass + diff used for all orthogonality and dual-norm computations.
+    All matrices are tridiagonal CSR of size n_dofs = n_cells.  `blocks` are the
+    affine terms A_q in theta order (diffusion, advection, and reaction, a copy
+    of mass); row q of `loads` (Q x n_dofs) is b_q.  `ip` is the discrete H1
+    inner product mass + diffusion used for all orthogonality and dual norms.
 
     Treated as immutable after assembly (solvers for distinct parameters may
     share one instance); the cached coercivity constants are computed lazily
@@ -165,12 +166,8 @@ class FomOperators:
     """
 
     mass: sp.csr_matrix
-    diff: sp.csr_matrix
-    adv: sp.csr_matrix
-    react: sp.csr_matrix
-    load_diff: np.ndarray
-    load_adv: np.ndarray
-    load_react: np.ndarray
+    blocks: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
+    loads: np.ndarray
     output: np.ndarray
     ip: sp.csr_matrix
     n_dofs: int
@@ -195,6 +192,11 @@ class FomOperators:
 def theta(mu: ParameterPoint) -> tuple[float, float, float]:
     """Affine coefficients (diffusion, advection, reaction) at mu."""
     return (1.0 / mu.pe, 1.0, mu.da)
+
+
+def affine(th, terms):
+    """sum_q th[q] terms[q] in theta order, written out: a zip loop slows solve_rb."""
+    return th[0] * terms[0] + th[1] * terms[1] + th[2] * terms[2]
 
 
 def assemble(mesh: MeshSpec, inflow_value: float = 1.0) -> FomOperators:
@@ -225,25 +227,17 @@ def assemble(mesh: MeshSpec, inflow_value: float = 1.0) -> FomOperators:
     )
 
     # Couplings of the free nodes to the eliminated inflow node, moved to the
-    # right-hand side: b_X = -X[free, 0] * g.  Only node 1 is affected.
-    load_diff = np.zeros(n)
-    load_diff[0] = g / h
-    load_adv = np.zeros(n)
-    load_adv[0] = g / 2.0
-    load_react = np.zeros(n)
-    load_react[0] = -g * h / 6.0
+    # right-hand side: b_q = -A_q[free, 0] * g.  Only node 1 is affected.
+    loads = np.zeros((3, n))
+    loads[:, 0] = g / h, g / 2.0, -g * h / 6.0
 
     output = np.zeros(n)
     output[-1] = 1.0
 
     return FomOperators(
         mass=mass,
-        diff=diff,
-        adv=adv,
-        react=mass.copy(),
-        load_diff=load_diff,
-        load_adv=load_adv,
-        load_react=load_react,
+        blocks=(diff, adv, mass.copy()),
+        loads=loads,
         output=output,
         ip=(mass + diff).tocsr(),
         n_dofs=n,
@@ -252,15 +246,13 @@ def assemble(mesh: MeshSpec, inflow_value: float = 1.0) -> FomOperators:
 
 
 def system_matrix(ops: FomOperators, mu: ParameterPoint) -> sp.csr_matrix:
-    """A(mu) = (1/pe) * diff + adv + da * react."""
-    th_d, th_a, th_r = theta(mu)
-    return (th_d * ops.diff + th_a * ops.adv + th_r * ops.react).tocsr()
+    """A(mu) = sum_q theta_q(mu) A_q."""
+    return affine(theta(mu), ops.blocks).tocsr()
 
 
 def load_vector(ops: FomOperators, mu: ParameterPoint) -> np.ndarray:
     """b(mu), the eliminated inflow couplings weighted by the affine coefficients."""
-    th_d, th_a, th_r = theta(mu)
-    return th_d * ops.load_diff + th_a * ops.load_adv + th_r * ops.load_react
+    return affine(theta(mu), ops.loads)
 
 
 def solve_fom(

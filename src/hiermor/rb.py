@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dgesv, dpttrf
 
-from .fem import FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory, theta
+from .fem import FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory, affine, theta
 from .pod import PodBasis, h_orthonormalize, hapod, pod
 
 __all__ = [
@@ -42,13 +42,14 @@ __all__ = [
 class ReducedModel:
     """Projected affine blocks plus everything the online error bound needs.
 
-    `riesz_sqrt` is a factor of the Gramian of the Riesz representers of all
-    residual building blocks, ordered as [load_diff, load_adv, load_react,
-    mass @ basis, diff @ basis, adv @ basis, react @ basis]: it has 3 + 4r
-    rows, one column per numerical rank of the representers, and
-    riesz_sqrt @ riesz_sqrt.T is that (3 + 4r) x (3 + 4r) Gramian up to
-    `RIESZ_DROP_TOL`.  Only the factor is kept, for the cancellation-free
-    dual-norm evaluation.
+    `red_blocks` (Q, r, r) and `red_loads` (Q, r) are the FOM `blocks` and
+    `loads` projected onto the basis, in the same theta order.  `riesz_sqrt`
+    is a factor of the Gramian of the Riesz representers of all residual
+    building blocks, with rows ordered [b_1 .. b_Q, M Phi, A_1 Phi .. A_Q Phi]
+    (one row per load, then r rows per operator): it has Q + (Q + 1) r rows,
+    one column per numerical rank of the representers, and
+    riesz_sqrt @ riesz_sqrt.T is that Gramian up to `RIESZ_DROP_TOL`.  Only
+    the factor is kept, for the cancellation-free dual-norm evaluation.
 
     Immutable: enrichment builds a new model instead of mutating, so
     concurrent queries against one instance are safe.
@@ -56,12 +57,8 @@ class ReducedModel:
 
     basis: PodBasis
     red_mass: np.ndarray
-    red_diff: np.ndarray
-    red_adv: np.ndarray
-    red_react: np.ndarray
-    red_load_diff: np.ndarray
-    red_load_adv: np.ndarray
-    red_load_react: np.ndarray
+    red_blocks: np.ndarray
+    red_loads: np.ndarray
     red_output: np.ndarray
     red_init: np.ndarray
     riesz_sqrt: np.ndarray
@@ -107,7 +104,7 @@ def _pencil_min_eig(a, b) -> float:
 
 
 def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
-    """Minimal generalized eigenvalues of (diff, ip) and (react, ip).
+    """Minimal generalized eigenvalues of the diffusion and reaction blocks against ip.
 
     Computed once per operator set and cached on it.  By Sylvester's law of
     inertia, a - s ip is positive definite exactly below the pencil's minimal
@@ -119,7 +116,8 @@ def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
     an operator that is not symmetric tridiagonal or not positive definite.
     """
     if ops._coercivity is None:
-        ops._coercivity = (_pencil_min_eig(ops.diff, ops.ip), _pencil_min_eig(ops.react, ops.ip))
+        diffusion, _, reaction = ops.blocks
+        ops._coercivity = (_pencil_min_eig(diffusion, ops.ip), _pencil_min_eig(reaction, ops.ip))
     return ops._coercivity
 
 
@@ -130,8 +128,7 @@ def coercivity_lb(rm: ReducedModel, mu: ParameterPoint) -> float:
     against the H inner product; the advection term is skew up to a
     nonnegative outflow boundary contribution and is counted as zero.
     """
-    th_d, _, th_r = theta(mu)
-    alpha = th_d * rm.gamma_diff + th_r * rm.gamma_react
+    alpha = affine(theta(mu), (rm.gamma_diff, 0.0, rm.gamma_react))
     if alpha <= 0.0:
         raise ValueError(f"parameter {mu} outside the coercive regime")
     return alpha
@@ -173,17 +170,9 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
     phi = basis.modes
     r = basis.dim
 
-    red = {name: phi.T @ (mat @ phi) for name, mat in
-           (("mass", ops.mass), ("diff", ops.diff), ("adv", ops.adv), ("react", ops.react))}
-
-    components = np.empty((ops.n_dofs, 4 + 4 * r))
-    components[:, 0] = ops.load_diff
-    components[:, 1] = ops.load_adv
-    components[:, 2] = ops.load_react
-    for i, mat in enumerate((ops.mass, ops.diff, ops.adv, ops.react)):
-        if r:
-            components[:, 3 + i * r: 3 + (i + 1) * r] = mat @ phi
-    components[:, -1] = ops.output
+    applied = [mat @ phi for mat in (ops.mass, *ops.blocks)]
+    red_mass, *red_blocks = (phi.T @ a for a in applied)
+    components = np.column_stack([ops.loads.T, *applied, ops.output])
     # Dual norms of residual combinations are ||w @ riesz_sqrt||_2.  With
     # ip = L D L^T, Y = D^-1/2 L^-1 C has Gramian Y^T Y = C^T ip^-1 C, the
     # representers' Gramian, never formed: contracting it with w would cancel
@@ -199,13 +188,9 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
 
     return ReducedModel(
         basis=basis,
-        red_mass=red["mass"],
-        red_diff=red["diff"],
-        red_adv=red["adv"],
-        red_react=red["react"],
-        red_load_diff=phi.T @ ops.load_diff,
-        red_load_adv=phi.T @ ops.load_adv,
-        red_load_react=phi.T @ ops.load_react,
+        red_mass=red_mass,
+        red_blocks=np.array(red_blocks),
+        red_loads=ops.loads @ phi,
         red_output=phi.T @ ops.output,
         red_init=red_init,
         riesz_sqrt=riesz_sqrt,
@@ -238,11 +223,9 @@ def solve_rb(
     if r == 0:
         return np.zeros((grid.n_steps + 1, 0)), QoiVector(np.zeros(grid.n_steps), dt)
 
-    th_d, th_a, th_r = theta(mu)
-    red_a = th_d * rm.red_diff + th_a * rm.red_adv + th_r * rm.red_react
-    red_b = th_d * rm.red_load_diff + th_a * rm.red_load_adv + th_r * rm.red_load_react
-    step = rm.red_mass + dt * red_a
-    _, _, prop, info = dgesv(step, np.column_stack([rm.red_mass, dt * red_b]))
+    th = theta(mu)
+    step = rm.red_mass + dt * affine(th, rm.red_blocks)
+    _, _, prop, info = dgesv(step, np.column_stack([rm.red_mass, dt * affine(th, rm.red_loads)]))
     if info > 0:
         raise RuntimeError("reduced step matrix is singular (degenerate basis)")
 
@@ -267,26 +250,28 @@ def estimate(
     """Residual-based bound on the L2-in-time output error at mu.
 
     The per-step residual is affine in the reduced coefficients, so its
-    Riesz coordinates are mapped directly from the blocks of `riesz_sqrt`
-    (rows R_load, R_M, R_D, R_A, R_R):
+    Riesz coordinates are mapped directly from the row blocks of
+    `riesz_sqrt`, [R_load (Q rows), R_M (r rows), R_1 .. R_Q (r rows each)]
+    for [b_1 .. b_Q, M Phi, A_1 Phi .. A_Q Phi]:
 
         mapped^n = theta . R_load - (a^n - a^{n-1})/dt R_M - a^n R_theta,
 
-    with R_theta = theta_d R_D + theta_a R_A + theta_r R_R formed once per
-    mu, and its dual norm is the Euclidean norm of the row.  Online cost
-    O(n_steps * 2r * q) in two products, q the column count of `riesz_sqrt`
-    (the rank of the residual representers, 47 at r = 36 on the desk config).
+    with R_theta = sum_q theta_q R_q formed once per mu, and its dual norm
+    is the Euclidean norm of the row.  Online cost O(n_steps * 2r * q) in
+    two products, q the column count of `riesz_sqrt` (the rank of the
+    residual representers, 47 at r = 36 on the desk config).
     """
     r = rm.dim
     dt = grid.dt
-    th_d, th_a, th_r = th = theta(mu)
+    th = theta(mu)
 
     rq = rm.riesz_sqrt
-    r_theta = th_d * rq[3 + r: 3 + 2 * r] + th_a * rq[3 + 2 * r: 3 + 3 * r] + th_r * rq[3 + 3 * r:]
+    n_terms = len(rm.red_loads)
+    r_blocks = rq[n_terms + r:].reshape(n_terms, r, rq.shape[1])
     a_now = reduced_traj[1:]
-    mapped = (a_now - reduced_traj[:-1]) / dt @ rq[3: 3 + r]
-    mapped += a_now @ r_theta
-    np.subtract(np.asarray(th) @ rq[:3], mapped, out=mapped)
+    mapped = (a_now - reduced_traj[:-1]) / dt @ rq[n_terms: n_terms + r]
+    mapped += a_now @ affine(th, r_blocks)
+    np.subtract(np.asarray(th) @ rq[:n_terms], mapped, out=mapped)
     sq = np.einsum("ni,ni->n", mapped, mapped)
     residual_norms = np.sqrt(sq)
 

@@ -56,6 +56,10 @@ def test_annotated_example_config_parses():
     assert config.hierarchy.retrain_every == 10
 
 
+def test_annotated_example_config_shows_the_defaults():
+    assert load_config("configs/desk.ini") == parse_config("[sweep]\nseed = 42\n")
+
+
 def test_unknown_key_reports_line():
     text = "[mesh]\nn_cells = 16\nn_cell = 8\n[sweep]\nseed = 1\n"
     with pytest.raises(ConfigError) as err:
@@ -71,11 +75,26 @@ def test_bad_value_reports_line():
     assert err.value.lineno == 2
 
 
-def test_invalid_semantic_value_reports_line():
-    text = "[mesh]\nn_cells = 1\n[sweep]\nseed = 1\n"
+@pytest.mark.parametrize(
+    "section, lineno",
+    [
+        ("[mesh]\nn_cells = 1\n", 2),
+        ("[hierarchy]\nrom_tol = 1e-2\nretrain_every = 0\n", 3),
+        ("[hierarchy]\nretrain_every = 0\n", 2),
+        ("[parameters]\nda_min = 0.1\npe_min = -1\n", 3),
+        ("[time]\nn_steps = 16\nt_end = -1\n", 3),
+        ("[kernel]\nshape = 0.5\nmax_centers = 0\n", 3),
+        # da_min keeps its default 0.1 and is not in the file: the section's
+        # first key is cited.
+        ("[parameters]\nda_max = 0.05\n", 2),
+    ],
+    ids=["n_cells", "retrain_every", "retrain_every_first", "pe_min", "t_end", "max_centers",
+         "da_min_default"],
+)
+def test_invalid_semantic_value_reports_line(section, lineno):
     with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert err.value.lineno == 2
+        parse_config(section + "[sweep]\nseed = 1\n")
+    assert err.value.lineno == lineno
 
 
 def test_missing_seed_for_random_sampler():
@@ -338,6 +357,30 @@ def test_nan_error_or_bound_is_a_violation():
     assert report.n_violations == 3
     assert report.text().count("VIOLATED") == 3
     assert report.text().endswith("violations: 3\n")
+
+
+def test_effectivity_lines_independent_of_row_order():
+    import itertools
+    import math
+
+    from hiermor.cli import ValidationReport, ValidationRow
+    from hiermor.fem import ParameterPoint
+
+    mu = ParameterPoint(1.0, 10.0)
+    rows = [
+        ValidationRow(mu, rb_error=1e-3, delta_rb=bound, ml_error=error, certificate=1e-2)
+        for bound, error in ((1e-2, 1e-3), (math.nan, 1e-3), (5e-2, math.nan))
+    ]
+
+    def effectivity(rows):
+        return [line for line in ValidationReport(list(rows)).text().splitlines()
+                if line.startswith("effectivity")]
+
+    lines = {tuple(effectivity(order)) for order in itertools.permutations(rows)}
+    assert lines == {(
+        "effectivity delta_rb/rb_error: min nan median nan max nan (n=3)",
+        "effectivity certificate/ml_error: min nan median nan max nan (n=3)",
+    )}
 
 
 def test_worst_ratio_lines_agree_with_flags():

@@ -41,7 +41,7 @@ def test_mass_interior_rows():
 def test_stiffness_interior_rows():
     ops = assemble(MeshSpec(10))
     h = 0.1
-    k = ops.diff.toarray()
+    k = ops.blocks[0].toarray()
     for i in range(1, ops.n_dofs - 1):
         assert k[i, i - 1] == pytest.approx(-1 / h)
         assert k[i, i] == pytest.approx(2 / h)
@@ -51,7 +51,7 @@ def test_stiffness_interior_rows():
 
 def test_advection_interior_rows():
     ops = assemble(MeshSpec(10))
-    b = ops.adv.toarray()
+    b = ops.blocks[1].toarray()
     for i in range(1, ops.n_dofs - 1):
         assert b[i, i - 1] == pytest.approx(-0.5)
         assert b[i, i] == 0.0
@@ -62,14 +62,14 @@ def test_advection_interior_rows():
 def test_symmetry_exact():
     ops = assemble(MeshSpec(64))
     assert np.abs((ops.mass - ops.mass.T).toarray()).max() == 0.0
-    assert np.abs((ops.diff - ops.diff.T).toarray()).max() == 0.0
+    assert np.abs((ops.blocks[0] - ops.blocks[0].T).toarray()).max() == 0.0
     assert np.abs((ops.ip - ops.ip.T).toarray()).max() == 0.0
 
 
 def test_all_operators_tridiagonal():
     ops = assemble(MeshSpec(20))
     rows = np.arange(ops.n_dofs)
-    for mat in (ops.mass, ops.diff, ops.adv, ops.react, ops.ip):
+    for mat in (ops.mass, ops.blocks[0], ops.blocks[1], ops.blocks[2], ops.ip):
         assert mat.shape == (ops.n_dofs, ops.n_dofs)
         dense = mat.toarray()
         off_band = dense * (np.abs(rows[:, None] - rows[None, :]) > 1)
@@ -79,10 +79,10 @@ def test_all_operators_tridiagonal():
 def test_load_components_only_first_node():
     ops = assemble(MeshSpec(16), inflow_value=2.0)
     h = 1 / 16
-    assert ops.load_diff[0] == pytest.approx(2.0 / h)
-    assert ops.load_adv[0] == pytest.approx(1.0)
-    assert ops.load_react[0] == pytest.approx(-2.0 * h / 6)
-    for vec in (ops.load_diff, ops.load_adv, ops.load_react):
+    assert ops.loads[0, 0] == pytest.approx(2.0 / h)
+    assert ops.loads[1, 0] == pytest.approx(1.0)
+    assert ops.loads[2, 0] == pytest.approx(-2.0 * h / 6)
+    for vec in ops.loads:
         assert not vec[1:].any()
 
 
@@ -90,7 +90,7 @@ def test_affine_assembly_matches_direct():
     ops = assemble(MeshSpec(16))
     mu = ParameterPoint(2.5, 7.0)
     th = theta(mu)
-    direct = (th[0] * ops.diff + th[1] * ops.adv + th[2] * ops.react).toarray()
+    direct = (th[0] * ops.blocks[0] + th[1] * ops.blocks[1] + th[2] * ops.blocks[2]).toarray()
     assert np.allclose(system_matrix(ops, mu).toarray(), direct, rtol=0, atol=0)
 
 
@@ -250,7 +250,7 @@ def test_factorization_reuse_is_bitwise_identical(small_problem):
 def test_singular_step_matrix_raises(small_problem):
     ops, grid = small_problem
     zero = 0.0 * ops.mass
-    degenerate = dataclasses.replace(ops, mass=zero, diff=zero, adv=zero, react=zero)
+    degenerate = dataclasses.replace(ops, mass=zero, blocks=(zero, zero, zero))
     with pytest.raises(RuntimeError, match="singular"):
         solve_fom(degenerate, ParameterPoint(1.0, 10.0), grid, np.zeros(ops.n_dofs))
 
@@ -269,7 +269,7 @@ def test_coercive_part_dominates_h_norm():
         alpha = th_d * gamma_diff + th_r * gamma_react
         for _ in range(50):
             v = rng.standard_normal(ops.n_dofs)
-            coercive = th_d * float(v @ (ops.diff @ v)) + th_r * float(v @ (ops.react @ v))
+            coercive = th_d * float(v @ (ops.blocks[0] @ v)) + th_r * float(v @ (ops.blocks[2] @ v))
             assert coercive >= alpha * float(v @ (ops.ip @ v)) - 1e-12
 
 
@@ -278,7 +278,7 @@ def test_advection_quadratic_form_nonnegative():
     rng = np.random.default_rng(7)
     for _ in range(50):
         v = rng.standard_normal(ops.n_dofs)
-        assert float(v @ (ops.adv @ v)) >= -1e-12 * float(v @ (ops.ip @ v))
+        assert float(v @ (ops.blocks[1] @ v)) >= -1e-12 * float(v @ (ops.ip @ v))
 
 
 # -- manufactured solution smoke (full study in test_acceptance) ---------------

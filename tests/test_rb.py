@@ -58,8 +58,8 @@ def brute_force_dual_norms(ops, mu, full_traj, grid):
 def stepping_solve_rb(rm, mu, grid):
     """Reference reduced trajectory: implicit Euler, one LU solve per time step."""
     th_d, th_a, th_r = theta(mu)
-    red_a = th_d * rm.red_diff + th_a * rm.red_adv + th_r * rm.red_react
-    red_b = th_d * rm.red_load_diff + th_a * rm.red_load_adv + th_r * rm.red_load_react
+    red_a = th_d * rm.red_blocks[0] + th_a * rm.red_blocks[1] + th_r * rm.red_blocks[2]
+    red_b = th_d * rm.red_loads[0] + th_a * rm.red_loads[1] + th_r * rm.red_loads[2]
     lu_piv = la.lu_factor(rm.red_mass + grid.dt * red_a)
     traj = np.empty((grid.n_steps + 1, rm.dim))
     traj[0] = rm.red_init
@@ -98,7 +98,7 @@ def test_project_single_mode_quadratic_form(small_problem):
     rm = project(ops, basis, np.zeros(ops.n_dofs))
     assert rm.red_mass.shape == (1, 1)
     assert rm.red_mass[0, 0] == pytest.approx(float(phi @ (ops.mass @ phi)), rel=1e-12)
-    assert rm.red_diff[0, 0] == pytest.approx(float(phi @ (ops.diff @ phi)), rel=1e-12)
+    assert rm.red_blocks[0, 0, 0] == pytest.approx(float(phi @ (ops.blocks[0] @ phi)), rel=1e-12)
 
 
 def test_projected_blocks_match_definition(small_problem):
@@ -108,9 +108,9 @@ def test_projected_blocks_match_definition(small_problem):
     rm = project(ops, basis, np.zeros(ops.n_dofs))
     for red, mat in (
         (rm.red_mass, ops.mass),
-        (rm.red_diff, ops.diff),
-        (rm.red_adv, ops.adv),
-        (rm.red_react, ops.react),
+        (rm.red_blocks[0], ops.blocks[0]),
+        (rm.red_blocks[1], ops.blocks[1]),
+        (rm.red_blocks[2], ops.blocks[2]),
     ):
         assert np.abs(red - phi.T @ (mat @ phi)).max() < 1e-12
 
@@ -118,8 +118,8 @@ def test_projected_blocks_match_definition(small_problem):
 def residual_components(ops, basis):
     phi = basis.modes
     return np.column_stack(
-        [ops.load_diff, ops.load_adv, ops.load_react]
-        + [mat @ phi for mat in (ops.mass, ops.diff, ops.adv, ops.react)]
+        [ops.loads[0], ops.loads[1], ops.loads[2]]
+        + [mat @ phi for mat in (ops.mass, ops.blocks[0], ops.blocks[1], ops.blocks[2])]
     )
 
 
@@ -242,8 +242,7 @@ def test_solve_rb_singular_step_raises(small_problem):
     ops, grid = small_problem
     rm = project(ops, random_basis(ops, 3, seed=9), np.zeros(ops.n_dofs))
     zero = np.zeros_like(rm.red_mass)
-    degenerate = dataclasses.replace(rm, red_mass=zero, red_diff=zero, red_adv=zero,
-                                     red_react=zero)
+    degenerate = dataclasses.replace(rm, red_mass=zero, red_blocks=np.array([zero, zero, zero]))
     with pytest.raises(RuntimeError, match="singular"):
         solve_rb(degenerate, ParameterPoint(1.0, 10.0), grid)
 
@@ -390,8 +389,8 @@ def test_coercivity_constants_are_rayleigh_lower_bounds(small_problem):
     for _ in range(100):
         v = rng.standard_normal(ops.n_dofs)
         hv = float(v @ (ops.ip @ v))
-        assert float(v @ (ops.diff @ v)) / hv >= gamma_diff - 1e-10
-        assert float(v @ (ops.react @ v)) / hv >= gamma_react - 1e-10
+        assert float(v @ (ops.blocks[0] @ v)) / hv >= gamma_diff - 1e-10
+        assert float(v @ (ops.blocks[2] @ v)) / hv >= gamma_react - 1e-10
 
 
 @pytest.mark.parametrize("n_cells", [16, 256, 2048])
@@ -405,7 +404,7 @@ def test_coercivity_constants_closed_form(n_cells):
     gamma_diff, gamma_react = coercivity_constants(ops)
     assert gamma_diff == pytest.approx(kappa[0] / (1 + kappa[0]), rel=1e-9)
     assert gamma_react == pytest.approx(1 / (1 + kappa[-1]), rel=1e-9)
-    for gamma, mat in ((gamma_diff, ops.diff), (gamma_react, ops.react)):
+    for gamma, mat in ((gamma_diff, ops.blocks[0]), (gamma_react, ops.blocks[2])):
         at, above = ((mat - s * ops.ip).tocsr() for s in (gamma, gamma * (1 + 1e-9)))
         assert dpttrf(at.diagonal(), at.diagonal(1))[2] == 0
         assert dpttrf(above.diagonal(), above.diagonal(1))[2] != 0
@@ -414,21 +413,22 @@ def test_coercivity_constants_closed_form(n_cells):
 @pytest.mark.parametrize(
     "make_diff",
     [
-        lambda ops: ops.diff + sp.csr_matrix(([1e-3, 1e-3], ([0, 5], [5, 0])), shape=ops.diff.shape),
-        lambda ops: ops.adv,
+        lambda ops: ops.blocks[0] + sp.csr_matrix(
+            ([1e-3, 1e-3], ([0, 5], [5, 0])), shape=ops.blocks[0].shape),
+        lambda ops: ops.blocks[1],
     ],
     ids=["band", "skew"],
 )
 def test_coercivity_constants_reject_non_tridiagonal_symmetric(small_problem, make_diff):
     ops, _ = small_problem
     with pytest.raises(ValueError, match="symmetric tridiagonal"):
-        coercivity_constants(dataclasses.replace(ops, diff=make_diff(ops)))
+        coercivity_constants(dataclasses.replace(ops, blocks=(make_diff(ops), *ops.blocks[1:])))
 
 
 def test_coercivity_constants_reject_indefinite_operator(small_problem):
     ops, _ = small_problem
     with pytest.raises(ValueError, match="not positive definite"):
-        coercivity_constants(dataclasses.replace(ops, react=-ops.mass))
+        coercivity_constants(dataclasses.replace(ops, blocks=(*ops.blocks[:2], -ops.mass)))
 
 
 # -- enrichment ---------------------------------------------------------------------
