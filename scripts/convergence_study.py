@@ -1,59 +1,38 @@
 #!/usr/bin/env python3
 """Manufactured-solution convergence study for the full-order model.
 
-Exact solution c(x, t) = exp(-t) sin(pi x), imposed through a matching
-source and the exact outflow flux.  Prints the discrete L2(0,T; L2) errors
-and the fitted orders (expected: 2 in h, 1 in dt).
+Runs the study of tests/mms.py (exact solution c(x, t) = exp(-t) sin(pi x))
+and prints the discrete L2(0,T; L2) errors and the fitted orders.  Exits 1
+when the spatial order is below 1.9 or the temporal order below 0.9, the
+bounds of acceptance criterion 1.
+
+    PYTHONPATH=src python scripts/convergence_study.py
 """
 
-import numpy as np
+import sys
+from pathlib import Path
 
-from hiermor import MeshSpec, ParameterPoint, TimeGrid, assemble, solve_fom
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+import mms  # noqa: E402
+from hiermor import ParameterPoint  # noqa: E402
 
 MU = ParameterPoint(da=1.0, pe=5.0)
-
-
-def error_l2l2(n_cells, n_steps, mu=MU, t_end=1.0):
-    mesh, grid = MeshSpec(n_cells), TimeGrid(t_end, n_steps)
-    ops = assemble(mesh, inflow_value=0.0)
-    h = mesh.h
-    nodes = h * np.arange(1, n_cells + 1)
-
-    def source(t):
-        decay = np.exp(-t)
-        q = decay * (
-            (-1.0 + np.pi**2 / mu.pe + mu.da) * np.sin(np.pi * nodes)
-            + np.pi * np.cos(np.pi * nodes)
-        )
-        vec = ops.mass @ q
-        vec[0] += (h / 6.0) * decay * np.pi
-        vec[-1] += -(np.pi / mu.pe) * decay
-        return vec
-
-    traj, _ = solve_fom(ops, mu, grid, np.sin(np.pi * nodes), source=source)
-    err_sq = 0.0
-    for k, t in enumerate(grid.times(), start=1):
-        e = traj.coeffs[k] - np.exp(-t) * np.sin(np.pi * nodes)
-        err_sq += grid.dt * float(e @ (ops.mass @ e))
-    return np.sqrt(err_sq)
-
+MIN_SPATIAL_ORDER = 1.9
+MIN_TEMPORAL_ORDER = 0.9
 
 print("spatial refinement (dt tied to h^2):")
-hs, errors = [], []
-for n in (32, 64, 128):
-    err = error_l2l2(n, n * n // 8)
-    hs.append(1.0 / n)
-    errors.append(err)
-    print(f"  n_cells = {n:4d}   error = {err:.4e}")
-order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
-print(f"  observed spatial order: {order:.3f}\n")
+spatial, hs, errors = mms.spatial_study(MU)
+for h, err in zip(hs, errors):
+    print(f"  n_cells = {round(1 / h):4d}   error = {err:.4e}")
+print(f"  observed spatial order: {spatial:.3f} (>= {MIN_SPATIAL_ORDER})\n")
 
 print("temporal refinement (n_cells = 256):")
-dts, errors = [], []
-for m in (64, 128, 256):
-    err = error_l2l2(256, m)
-    dts.append(1.0 / m)
-    errors.append(err)
-    print(f"  n_steps = {m:4d}   error = {err:.4e}")
-order = np.polyfit(np.log(dts), np.log(errors), 1)[0]
-print(f"  observed temporal order: {order:.3f}")
+temporal, dts, errors = mms.temporal_study(MU)
+for dt, err in zip(dts, errors):
+    print(f"  n_steps = {round(1 / dt):4d}   error = {err:.4e}")
+print(f"  observed temporal order: {temporal:.3f} (>= {MIN_TEMPORAL_ORDER})")
+
+if not (spatial >= MIN_SPATIAL_ORDER and temporal >= MIN_TEMPORAL_ORDER):
+    print("FAIL: observed order below its bound", file=sys.stderr)
+    sys.exit(1)

@@ -167,11 +167,11 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.out_dir is not None:
         config = dataclasses.replace(config, out_dir=Path(args.out_dir))
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        config = dataclasses.replace(
-            config, sweep=dataclasses.replace(config.sweep, seed=args.seed)
-        )
+        try:
+            sweep = dataclasses.replace(config.sweep, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
+        config = dataclasses.replace(config, sweep=sweep)
     return config
 
 

@@ -1,22 +1,26 @@
 """Flat `key = value` run configuration with sections and line diagnostics.
 
 The format is deliberately minimal: `[section]` headers, one `key = value`
-pair per line, `#` comments, blank lines ignored.  Every key has a default
-except the RNG seed, which is mandatory for random samplers.  Parse and
-validation errors carry the offending line number.  See configs/desk.ini
-for a complete annotated example.
+pair per line, `#` comments, blank lines ignored.  Each section sets the
+scalar fields of one dataclass (see `SECTIONS`); the keys, their types, their
+defaults and their checks are that dataclass's fields and `__post_init__`.
+Every key has a default except the RNG seed, which is mandatory for random
+samplers.  Parse and validation errors carry the offending line number.  See
+configs/desk.ini for a complete annotated example.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .fem import MeshSpec, ParameterBox, ParameterPoint, TimeGrid
-from .hierarchy import TRUST_MODES, HierarchyConfig
+from .hierarchy import HierarchyConfig
 from .kernel import KernelConfig
 
 __all__ = ["ConfigError", "SweepConfig", "RunConfig", "parse_config", "load_config", "sample_parameters"]
@@ -36,6 +40,14 @@ class SweepConfig:
     sampler: str = "uniform_random"
     seed: int | None = None
 
+    def __post_init__(self):
+        if self.n_queries < 0:
+            raise ValueError("n_queries must be >= 0")
+        if self.sampler not in SAMPLERS:
+            raise ValueError(f"sampler must be one of {', '.join(SAMPLERS)}; got {self.sampler!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
 
 @dataclass
 class RunConfig:
@@ -43,10 +55,20 @@ class RunConfig:
     grid: TimeGrid = field(default_factory=lambda: TimeGrid(1.0, 256))
     box: ParameterBox = field(default_factory=ParameterBox)
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
-    kernel: KernelConfig | None = None  # filled in with the box after parsing
+    kernel: KernelConfig | None = None  # None means KernelConfig(box)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     out_dir: Path = Path("hiermor-out")
     save_model: bool = False
+
+    def __post_init__(self):
+        if self.kernel is None:
+            self.kernel = KernelConfig(self.box)
+
+
+# Config section -> the RunConfig field it builds.  [output] sets RunConfig's
+# own scalar fields.
+SECTIONS = {"mesh": "mesh", "time": "grid", "parameters": "box", "hierarchy": "hierarchy",
+            "kernel": "kernel", "sweep": "sweep"}
 
 
 def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
@@ -83,16 +105,11 @@ class _Entries:
         self._entries = entries
         self._seen: set[tuple[str, str]] = set()
 
-    def _raw(self, section, key):
-        item = self._entries.get((section, key))
-        if item is not None:
-            self._seen.add((section, key))
-        return item
-
     def get(self, section, key, conv, default):
-        item = self._raw(section, key)
+        item = self._entries.get((section, key))
         if item is None:
             return default
+        self._seen.add((section, key))
         value, lineno = item
         try:
             return conv(value)
@@ -139,98 +156,62 @@ def _to_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _choice(options):
-    def conv(value: str) -> str:
-        if value not in options:
-            raise ValueError(f"must be one of {', '.join(options)}; got {value!r}")
-        return value
+_CONVERTERS = {int: _to_int, float: _to_float, bool: _to_bool, str: str, Path: Path}
 
-    return conv
+
+def _keys(cls) -> list[tuple[str, typing.Callable]]:
+    """(name, converter) of each init field of `cls` that a config line can set:
+    those annotated int, float, bool, str or Path, or one of these `| None`."""
+    hints = typing.get_type_hints(cls)
+    keys = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        base = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+        if f.init and base in _CONVERTERS:
+            keys.append((f.name, _CONVERTERS[base]))
+    return keys
 
 
 def parse_config(text: str) -> RunConfig:
     """Build a validated RunConfig from config text; raises ConfigError."""
     ent = _Entries(_parse_lines(text))
 
-    def build(section, ctor, **kwargs):
+    def build(section, default):
+        """`default` with the section's keys set, checked by its dataclass."""
+        values = {name: ent.get(section, name, conv, getattr(default, name))
+                  for name, conv in _keys(type(default))}
         try:
-            return ctor(**kwargs)
+            return dataclasses.replace(default, **values)
         except ValueError as exc:
             # Every validation message starts with the offending field's name.
             key = str(exc).split(" ", 1)[0]
-            raise ConfigError(str(exc), ent.lineno(section, key)) from None
+            raise ConfigError(f"{section}.{exc}", ent.lineno(section, key)) from None
 
-    n_cells = ent.get("mesh", "n_cells", _to_int, 256)
-    mesh = build("mesh", MeshSpec, n_cells=n_cells)
-
-    t_end = ent.get("time", "t_end", _to_float, 1.0)
-    n_steps = ent.get("time", "n_steps", _to_int, 256)
-    grid = build("time", TimeGrid, t_end=t_end, n_steps=n_steps)
-
-    box = build(
-        "parameters", ParameterBox,
-        da_min=ent.get("parameters", "da_min", _to_float, 0.1),
-        da_max=ent.get("parameters", "da_max", _to_float, 10.0),
-        pe_min=ent.get("parameters", "pe_min", _to_float, 1.0),
-        pe_max=ent.get("parameters", "pe_max", _to_float, 100.0),
-    )
-
-    hier = build(
-        "hierarchy", HierarchyConfig,
-        rom_tol=ent.get("hierarchy", "rom_tol", _to_float, 1e-2),
-        retrain_every=ent.get("hierarchy", "retrain_every", _to_int, 10),
-        trust_threshold=ent.get("hierarchy", "trust_threshold", _to_int, 50),
-        trust_mode=ent.get("hierarchy", "trust_mode", _choice(TRUST_MODES), "size_threshold"),
-        validation_slack=ent.get("hierarchy", "validation_slack", _to_float, 1.0),
-        enrich_energy_tol=ent.get("hierarchy", "enrich_energy_tol", _to_float, 1e-6),
-        enrich_max_modes=ent.get("hierarchy", "enrich_max_modes", _to_int, 25),
-        warm_start_corners=ent.get("hierarchy", "warm_start_corners", _to_bool, False),
-    )
-
-    kern = build(
-        "kernel", KernelConfig,
-        box=box,
-        shape=ent.get("kernel", "shape", _to_float, 0.5),
-        max_centers=ent.get("kernel", "max_centers", _to_int, 200),
-        greedy_tol=ent.get("kernel", "greedy_tol", _to_float, None),
-        nugget=ent.get("kernel", "nugget", _to_float, 0.0),
-        criterion=ent.get("kernel", "criterion", _choice(("f", "p")), "f"),
-    )
-
-    n_queries = ent.get("sweep", "n_queries", _to_int, 200)
-    if n_queries < 0:
-        raise ConfigError("sweep.n_queries must be >= 0", ent.lineno("sweep", "n_queries"))
-    sampler = ent.get("sweep", "sampler", _choice(SAMPLERS), "uniform_random")
-    seed = ent.get("sweep", "seed", _to_int, None)
-    if seed is not None and seed < 0:
-        raise ConfigError("sweep.seed must be >= 0", ent.lineno("sweep", "seed"))
-    sweep = SweepConfig(n_queries=n_queries, sampler=sampler, seed=seed)
-
-    out_dir = Path(ent.get("output", "out_dir", str, "hiermor-out"))
-    save_model = ent.get("output", "save_model", _to_bool, False)
+    defaults = RunConfig()
+    parts = {}
+    for section, name in SECTIONS.items():
+        default = KernelConfig(parts["box"]) if name == "kernel" else getattr(defaults, name)
+        parts[name] = build(section, default)
+    config = build("output", dataclasses.replace(defaults, **parts))
 
     for sec, key, lineno in ent.unknown():
         raise ConfigError(f"unknown key {sec}.{key}", lineno)
 
-    if sweep.sampler == "uniform_random" and sweep.seed is None:
+    if config.sweep.sampler == "uniform_random" and config.sweep.seed is None:
         raise ConfigError(
             "sweep.seed is mandatory for the uniform_random sampler",
             ent.lineno("sweep", "sampler"),
         )
-
-    return RunConfig(
-        mesh=mesh, grid=grid, box=box, hierarchy=hier, kernel=kern,
-        sweep=sweep, out_dir=out_dir, save_model=save_model,
-    )
+    return config
 
 
 def load_config(path) -> RunConfig:
     return parse_config(Path(path).read_text())
 
 
-def sample_parameters(sweep: SweepConfig, box: ParameterBox, n: int | None = None) -> list[ParameterPoint]:
+def sample_parameters(sweep: SweepConfig, box: ParameterBox) -> list[ParameterPoint]:
     """Deterministic query sequence for the configured sampler."""
-    count = sweep.n_queries if n is None else n
+    count = sweep.n_queries
     if count == 0:
         return []
     if sweep.sampler == "uniform_random":

@@ -80,7 +80,8 @@ class HierarchyConfig:
         if self.trust_threshold < 1:
             raise ValueError("trust_threshold must be >= 1")
         if self.trust_mode not in TRUST_MODES:
-            raise ValueError(f"trust_mode must be one of {TRUST_MODES}")
+            raise ValueError(f"trust_mode must be one of {', '.join(TRUST_MODES)}; "
+                             f"got {self.trust_mode!r}")
         if self.validation_slack <= 0.0:
             raise ValueError("validation_slack must be positive")
 

@@ -63,7 +63,7 @@ class KernelConfig:
         if self.nugget < 0.0:
             raise ValueError("nugget must be nonnegative")
         if self.criterion not in ("f", "p"):
-            raise ValueError("criterion must be 'f' or 'p'")
+            raise ValueError(f"criterion must be one of f, p; got {self.criterion!r}")
 
 
 def _normalize(box: ParameterBox, mus: np.ndarray) -> np.ndarray:

@@ -168,7 +168,6 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
     Cholesky factor of ip, and only a factor of their Riesz Gramian is kept.
     """
     phi = basis.modes
-    r = basis.dim
 
     applied = [mat @ phi for mat in (ops.mass, *ops.blocks)]
     red_mass, *red_blocks = (phi.T @ a for a in applied)
@@ -182,8 +181,8 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
     riesz_sqrt = _riesz_factor(y[:, :-1])
     gamma_diff, gamma_react = coercivity_constants(ops)
 
-    red_init = phi.T @ (ops.ip @ c0) if r else np.zeros(0)
-    residual0 = c0 - phi @ red_init if r else c0.copy()
+    red_init = phi.T @ (ops.ip @ c0)
+    residual0 = c0 - phi @ red_init
     init_error = math.sqrt(max(float(residual0 @ (ops.ip @ residual0)), 0.0))
 
     return ReducedModel(
@@ -298,7 +297,6 @@ def enrich(
     ops: FomOperators,
     energy_tol: float = 1e-6,
     max_modes: int = 25,
-    hapod_threshold: int = HAPOD_SNAPSHOT_THRESHOLD,
 ) -> tuple[ReducedModel, int]:
     """Extend the basis by a POD of the trajectory's H-orthogonal projection error.
 
@@ -309,6 +307,9 @@ def enrich(
     """
     snapshots = fom_traj.coeffs.T
     phi = rm.basis.modes
+    # Not the general expression at r = 0: `snapshots - 0` has the same values
+    # but is a C-ordered copy of this transposed view, and the POD Gramian's
+    # roundoff depends on the layout.
     if rm.dim:
         err = snapshots - phi @ (phi.T @ (ops.ip @ snapshots))
     else:
@@ -320,7 +321,7 @@ def enrich(
         return rm, 0
 
     m = err.shape[1]
-    if m > hapod_threshold:
+    if m > HAPOD_SNAPSHOT_THRESHOLD:
         # hapod takes an absolute per-snapshot tolerance; match the relative
         # energy rule via the total snapshot energy.
         eps_star = energy_tol * math.sqrt(total / m)

@@ -1,17 +1,21 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hiermor.cli import main, validate_run
+from hiermor.cli import _execute_sweep, main, validate_run
 from hiermor.config import (
     ConfigError,
+    RunConfig,
     SweepConfig,
     load_config,
     parse_config,
     sample_parameters,
 )
-from hiermor.fem import ParameterBox
+from hiermor.fem import MeshSpec, ParameterBox, TimeGrid
+from hiermor.hierarchy import HierarchyConfig
+from hiermor.kernel import KernelConfig
 from hiermor.report import BRANCH_COLORS
 
 SMALL_CONFIG = """
@@ -108,6 +112,58 @@ def test_negative_seed_reports_line():
     assert err.value.lineno == 4
 
 
+def test_unknown_sampler_cites_line_and_names_samplers():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[sweep]\nsampler = sobol\n")
+    assert err.value.lineno == 2
+    assert "uniform_random, halton, grid" in str(err.value)
+    assert "'sobol'" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"sampler": "sobol"}, {"n_queries": -1, "seed": 1}, {"seed": -1}],
+    ids=["sampler", "n_queries", "seed"],
+)
+def test_sweep_config_rejects_invalid_fields(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SweepConfig(**kwargs)
+
+
+def _shipped(n_cells=256, n_steps=256, **hierarchy):
+    """The RunConfig that the shipped desk config and its variants spell out."""
+    box = ParameterBox(da_min=0.1, da_max=10.0, pe_min=1.0, pe_max=100.0)
+    return RunConfig(
+        mesh=MeshSpec(n_cells),
+        grid=TimeGrid(1.0, n_steps),
+        box=box,
+        hierarchy=HierarchyConfig(**{
+            "rom_tol": 1e-2, "retrain_every": 10, "trust_threshold": 50,
+            "trust_mode": "size_threshold", "validation_slack": 1.0, "enrich_energy_tol": 1e-6,
+            "enrich_max_modes": 25, "warm_start_corners": False, **hierarchy}),
+        kernel=KernelConfig(box, shape=0.5, max_centers=200, greedy_tol=None, nugget=0.0,
+                            criterion="f"),
+        sweep=SweepConfig(n_queries=200, sampler="uniform_random", seed=42),
+        out_dir=Path("hiermor-out"),
+        save_model=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "path, expected",
+    [
+        ("configs/desk.ini", _shipped()),
+        ("perfbench/workloads/desk.ini", _shipped()),
+        ("perfbench/workloads/certified.ini", _shipped(trust_mode="always_validate")),
+        ("perfbench/workloads/tight.ini", _shipped(rom_tol=1e-9, trust_mode="never")),
+        ("perfbench/workloads/large.ini", _shipped(n_cells=2048, n_steps=1024)),
+    ],
+    ids=["configs-desk", "desk", "certified", "tight", "large"],
+)
+def test_shipped_config_parses_to_expected(path, expected):
+    assert load_config(path) == expected
+
+
 def test_key_outside_section_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("n_cells = 16\n")
@@ -143,6 +199,15 @@ def test_halton_and_grid_samplers():
 
 def test_zero_queries():
     assert sample_parameters(SweepConfig(n_queries=0, seed=1), ParameterBox()) == []
+
+
+def test_default_run_config_runs_a_sweep():
+    config = RunConfig(mesh=MeshSpec(16), grid=TimeGrid(1.0, 16),
+                       sweep=SweepConfig(n_queries=30, seed=1))
+    assert config.kernel == KernelConfig(config.box)
+    state, records = _execute_sweep(config)
+    assert len(records) == 30
+    assert state.model is not None  # refit with the default kernel settings
 
 
 # -- cli run ------------------------------------------------------------------------

@@ -480,12 +480,15 @@ def test_enrich_then_bound_below_tolerance(small_problem, reference_trajectory):
     assert estimate(rm1, mu, rtraj, grid).delta_rb <= 1e-2
 
 
-def test_enrich_via_hapod_for_long_trajectories(small_problem, reference_trajectory):
+def test_enrich_via_hapod_for_long_trajectories(small_problem, reference_trajectory, monkeypatch):
+    import hiermor.rb as rb_mod
+
     ops, grid = small_problem
     mu, traj, _ = reference_trajectory
     rm0 = project(ops, empty_basis(ops.n_dofs), np.zeros(ops.n_dofs))
     direct, added_direct = enrich(rm0, traj, ops)
-    hier, added_hier = enrich(rm0, traj, ops, hapod_threshold=8)
+    monkeypatch.setattr(rb_mod, "HAPOD_SNAPSHOT_THRESHOLD", 8)
+    hier, added_hier = enrich(rm0, traj, ops)
     assert added_hier > 0
     assert abs(added_hier - added_direct) <= 2
     # both bases certify the trajectory's parameter
