@@ -192,6 +192,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override sweep seed")
 
     args = parser.parse_args(argv)
+    if args.command == "validate" and args.n < 0:
+        p_val.error(f"argument --n: must be >= 0, got {args.n}")
 
     try:
         config = _apply_overrides(load_config(args.config), args)

@@ -66,13 +66,19 @@ class KernelConfig:
             raise ValueError(f"criterion must be one of f, p; got {self.criterion!r}")
 
 
+def _box_scales(box: ParameterBox) -> tuple[float, float, float, float]:
+    """Offsets and spans of the normalizing map: (da_min, da_max - da_min,
+    log pe_min, log pe_max - log pe_min)."""
+    log_min = math.log(box.pe_min)
+    return box.da_min, box.da_max - box.da_min, log_min, math.log(box.pe_max) - log_min
+
+
 def _normalize(box: ParameterBox, mus: np.ndarray) -> np.ndarray:
     """Map (da, pe) rows to the unit square; pe is rescaled logarithmically."""
+    da_min, da_span, log_min, log_span = _box_scales(box)
     z = np.empty_like(mus, dtype=float)
-    z[:, 0] = (mus[:, 0] - box.da_min) / (box.da_max - box.da_min)
-    z[:, 1] = (np.log(mus[:, 1]) - math.log(box.pe_min)) / (
-        math.log(box.pe_max) - math.log(box.pe_min)
-    )
+    z[:, 0] = (mus[:, 0] - da_min) / da_span
+    z[:, 1] = (np.log(mus[:, 1]) - log_min) / log_span
     return z
 
 
@@ -140,8 +146,13 @@ class KernelModel:
     `newton_cholesky` is the lower-triangular factor of the kernel matrix
     restricted to the centers (plus nugget), in selection order;
     `coeff_block` holds one row of Newton coefficients per center.
-    `normalized_centers`, derived on every construction, caches the centers
-    in box-normalized coordinates, so a prediction normalizes only its mu.
+
+    Derived on every construction (`fit`, `load_model`, `dataclasses.replace`),
+    so that a prediction normalizes only its mu and does no other set-up:
+    `normalized_centers`, the centers in box-normalized coordinates (k, 2);
+    `center_da` and `center_pe`, its two columns as contiguous arrays;
+    `box_scales`, the box constants of `_box_scales`; and `neg_two_shape_sq`,
+    the divisor -(2 shape^2) of the kernel's exponent.
     Immutable after fit; concurrent predictions are safe.
     """
 
@@ -151,10 +162,18 @@ class KernelModel:
     config: KernelConfig
     dt: float
     normalized_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    center_da: np.ndarray = field(init=False, repr=False, compare=False)
+    center_pe: np.ndarray = field(init=False, repr=False, compare=False)
+    box_scales: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    neg_two_shape_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        box = self.config.box
         mus = np.array([[c.da, c.pe] for c in self.centers]).reshape(-1, 2)
-        self.normalized_centers = _normalize(self.config.box, mus)
+        self.normalized_centers = _normalize(box, mus)
+        self.center_da, self.center_pe = np.ascontiguousarray(self.normalized_centers.T)
+        self.box_scales = _box_scales(box)
+        self.neg_two_shape_sq = -(2.0 * self.config.shape**2)
 
     @property
     def n_centers(self) -> int:
@@ -235,12 +254,22 @@ def fit(data: TrainingSet, config: KernelConfig) -> KernelModel:
 def _newton_values(model: KernelModel, mu: ParameterPoint) -> np.ndarray:
     """Newton basis functions evaluated at mu (length n_centers).
 
-    L nu = k(centers, mu) is solved as the transposed upper system on L.T,
-    the LAPACK call `solve_triangular` makes for the C-ordered factor.
+    The kernel row k(centers, mu) takes the operations of `_normalize` and
+    `_kernel_matrix` in their order, on scalars for mu and on the cached
+    center columns, so it has the same bits: (c - z)^2 = (z - c)^2, the sum
+    of two squares is the length-2 reduction, and s / -w = -s / w.  Then
+    L nu = k is solved as the transposed upper system on L.T, the LAPACK
+    call `solve_triangular` makes for the C-ordered factor.
     """
-    z = _normalize(model.config.box, np.array([[mu.da, mu.pe]]))
-    cross = _kernel_matrix(z, model.normalized_centers, model.config.shape)[0]
-    nu, info = dtrtrs(model.newton_cholesky.T, cross, lower=0, trans=1)
+    da_min, da_span, log_min, log_span = model.box_scales
+    row = model.center_da - (mu.da - da_min) / da_span
+    row *= row
+    d_pe = model.center_pe - (np.log(mu.pe) - log_min) / log_span
+    d_pe *= d_pe
+    row += d_pe
+    row /= model.neg_two_shape_sq
+    np.exp(row, out=row)
+    nu, info = dtrtrs(model.newton_cholesky.T, row, lower=0, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"Newton factor is singular or malformed (trtrs info {info})")
     return nu
@@ -255,14 +284,16 @@ def predict(model: KernelModel, mu: ParameterPoint) -> QoiVector:
 
 
 def power_function(model: KernelModel, mu: ParameterPoint) -> float:
-    """Worst-case interpolation error factor at mu; zero at every center."""
-    diag = kernel(mu, mu, model.config)
+    """Worst-case interpolation error factor at mu; zero at every center.
+
+    P(mu)^2 = k(mu, mu) - |nu(mu)|^2, and k(mu, mu) = exp(-0) = 1.
+    """
     if model.n_centers == 0:
-        return math.sqrt(diag)
+        return 1.0
     nu = _newton_values(model, mu)
-    p_sq = diag - float(nu @ nu)
+    p_sq = 1.0 - float(nu @ nu)
     # the subtraction bottoms out at roundoff: below that the value is zero
-    if p_sq < 16.0 * np.finfo(float).eps * diag:
+    if p_sq < 16.0 * np.finfo(float).eps:
         return 0.0
     return math.sqrt(p_sq)
 

@@ -353,6 +353,16 @@ def test_validate_zero_points_succeeds(tmp_path):
                  "--out-dir", str(tmp_path / "out")]) == 0
 
 
+def test_validate_negative_count_is_usage_error(tmp_path, capsys):
+    path = write_small_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(path), "--n", "-1", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_report_structure(tmp_path):
     config = load_config(write_small_config(tmp_path))
     report = validate_run(config, 3)

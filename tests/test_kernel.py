@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiermor import ParameterBox, ParameterPoint, QoiVector, qoi_norm
@@ -51,14 +51,30 @@ def grid_points(n, box=BOX):
     return [ParameterPoint(da, pe) for da, pe in zip(das, pes)]
 
 
-def reference_predict(model, mu):
+def reference_newton_values(model, mu):
     """Per-call reference: normalize the centers with mu, scipy's triangular solve."""
-    if model.n_centers == 0:
-        return np.zeros(model.coeff_block.shape[1])
     mus = np.array([[c.da, c.pe] for c in model.centers] + [[mu.da, mu.pe]])
     z = _normalize(model.config.box, mus)
     cross = _kernel_matrix(z[-1:], z[:-1], model.config.shape)[0]
-    return la.solve_triangular(model.newton_cholesky, cross, lower=True) @ model.coeff_block
+    return la.solve_triangular(model.newton_cholesky, cross, lower=True)
+
+
+def reference_predict(model, mu):
+    if model.n_centers == 0:
+        return np.zeros(model.coeff_block.shape[1])
+    return reference_newton_values(model, mu) @ model.coeff_block
+
+
+def reference_power_function(model, mu):
+    """Per-call reference with k(mu, mu) from `kernel`."""
+    diag = kernel(mu, mu, model.config)
+    if model.n_centers == 0:
+        return math.sqrt(diag)
+    nu = reference_newton_values(model, mu)
+    p_sq = diag - float(nu @ nu)
+    if p_sq < 16.0 * np.finfo(float).eps * diag:
+        return 0.0
+    return math.sqrt(p_sq)
 
 
 # -- kernel function ---------------------------------------------------------
@@ -348,6 +364,62 @@ def test_predict_matches_reference_bit_for_bit(tmp_path):
     singular = dataclasses.replace(model, newton_cholesky=np.zeros_like(model.newton_cholesky))
     with pytest.raises(np.linalg.LinAlgError):
         predict(singular, probes[0])
+
+
+# The model family every prediction path must agree on: fitted, loaded, a
+# sub-model of a sub-model made by dataclasses.replace, and the empty model.
+FAMILY_BASE = fit(training_set(synthetic_targets(grid_points(9), seed=16)),
+                  dataclasses.replace(CONFIG, greedy_tol=0.0))
+FAMILY = ("fitted", "loaded", "nested", "empty")
+
+
+def first_centers(model, k):
+    return dataclasses.replace(model, centers=model.centers[:k],
+                               newton_cholesky=model.newton_cholesky[:k, :k],
+                               coeff_block=model.coeff_block[:k])
+
+
+@pytest.fixture(scope="module")
+def model_family(tmp_path_factory):
+    path = tmp_path_factory.mktemp("family") / "model.bin"
+    save_model(FAMILY_BASE, path)
+    k = FAMILY_BASE.n_centers // 2
+    assert k >= 3
+    return {
+        "fitted": FAMILY_BASE,
+        "loaded": load_model(path),
+        "nested": first_centers(first_centers(FAMILY_BASE, k), k - 1),
+        "empty": first_centers(FAMILY_BASE, 0),
+    }
+
+
+def box_points(box=BOX, centers=FAMILY_BASE.centers):
+    """Points of the box: inside, on its edges, its corners and the centers."""
+    da = st.floats(box.da_min, box.da_max)
+    pe = st.floats(box.pe_min, box.pe_max)
+    da_end = st.sampled_from([box.da_min, box.da_max])
+    pe_end = st.sampled_from([box.pe_min, box.pe_max])
+    return st.one_of(
+        st.builds(ParameterPoint, da, pe),
+        st.builds(ParameterPoint, da_end, pe),
+        st.builds(ParameterPoint, da, pe_end),
+        st.builds(ParameterPoint, da_end, pe_end),
+        st.sampled_from(centers),
+    )
+
+
+# The explicit examples are Pe values whose `math.log` differs from `np.log`
+# in the last bit (x86-64, NumPy 2.4): the kernel row must keep NumPy's log.
+@settings(max_examples=300, derandomize=True)
+@given(st.sampled_from(FAMILY), box_points())
+@example(which="fitted", mu=ParameterPoint(2.0, 7.860081743654512))
+@example(which="fitted", mu=ParameterPoint(2.0, 35.20905684066511))
+@example(which="fitted", mu=ParameterPoint(2.0, 3.6789315524405186))
+def test_predict_and_power_function_bit_for_bit(model_family, which, mu):
+    model = model_family[which]
+    assert np.array_equal(predict(model, mu).values, reference_predict(model, mu))
+    power = np.float64(power_function(model, mu))
+    assert power.tobytes() == np.float64(reference_power_function(model, mu)).tobytes()
 
 
 # -- serialization ----------------------------------------------------------------
