@@ -10,10 +10,13 @@ Every query walks the same decision ladder:
    with the new trajectory, harvest the FOM answer as a training pair, and
    return it.
 
-The kernel model is refit from scratch whenever the training set has grown
-by `retrain_every` points since the last fit.  Trust is either the blunt
-training-set size threshold or a per-query validation against the
-triangle-inequality certificate
+A refit of the kernel model from scratch falls due whenever the training
+set has grown by `retrain_every` points since the last one fell due.  The
+controller keeps that training set and fits it the first time something
+reads the surrogate, so a refit that a later one replaces unread costs
+nothing; the fit is deterministic, so every answer is the one an eager fit
+would give.  Trust is either the blunt training-set size threshold or a
+per-query validation against the triangle-inequality certificate
 
     ||f_fom(mu) - f_ml(mu)|| <= delta_rb(mu) + ||f_rb(mu) - f_ml(mu)||,
 
@@ -113,12 +116,19 @@ class AdaptiveHierarchy:
 
     A query changes controller state all at once or not at all.  `query()`
     walks the ladder once, computing in locals the answer, the candidate
-    basis, training set and refit surrogate, and the counter increments;
-    `_commit` writes them in one step, and only then does the record index
-    advance.  A query that raises (a parameter outside the box, a failing
-    `solve_fom`, `enrich` or `fit`) changes nothing.  Each query starts from
-    the state the previous one left, so queries run one at a time.
-    `ml_answer`, `rb_answer` and `certify` only evaluate; they write nothing.
+    basis and training set, the surrogate it read, and the counter
+    increments; `_commit` writes them in one step, and only then does the
+    record index advance.  A query that raises (a parameter outside the box,
+    a failing `solve_fom`, `enrich` or `fit`) changes nothing.  Each query
+    starts from the state the previous one left, so queries run one at a
+    time.
+
+    When a refit falls due, the controller keeps the training set instead of
+    a model, and the first read fits it: an ML answer, a certificate, or the
+    `model` property.  So a failing fit surfaces in the query that first
+    reads the model, and `counters["fits"]` counts the fits made.
+    `rb_answer` only evaluates; `ml_answer` and `certify` write nothing but
+    such a fit, committed through `model`.
     """
 
     def __init__(
@@ -139,23 +149,47 @@ class AdaptiveHierarchy:
         empty = PodBasis(np.zeros((ops.n_dofs, 0)), np.zeros(0))
         self.rm: ReducedModel = project(ops, empty, self.c0)
         self.train = TrainingSet()
-        self.model: KernelModel | None = None
+        # The fitted surrogate, or the training set a refit fell due on.
+        self._surrogate: KernelModel | TrainingSet | None = None
         self.counters = dict.fromkeys(
             ("fom_solves", "rb_solves", "ml_predicts", "fits", "stagnated"), 0)
-        self._last_fit_size = 0
+        self._last_due_size = 0  # training-set size at which the last refit fell due
         self._next_index = 1
         if config.warm_start_corners:
             for corner in box.corners():
                 work: dict[str, int] = {}
-                self._commit(work, self._harvest(corner, None, work)[1])
+                self._commit(work, self._harvest(corner, None, work, self._surrogate)[1])
+
+    @property
+    def model(self) -> KernelModel | None:
+        """The kernel surrogate; None until a first refit falls due.
+
+        A refit that fell due is made on this read and committed; a fit that
+        raises changes nothing.
+        """
+        work: dict[str, int] = {}
+        model = self._fitted(work)
+        self._commit(work, (self.rm, self.train, model, self._last_due_size))
+        return model
+
+    def _fitted(self, work: dict[str, int]) -> KernelModel | None:
+        """The surrogate as read now: the fit of a due training set (counted in
+        `work`), else the stored model.  Writes nothing."""
+        if isinstance(self._surrogate, TrainingSet):
+            work["fits"] = 1
+            return fit(self._surrogate, self.kernel_config)
+        return self._surrogate
 
     # -- evaluations against the current state -------------------------------
 
     def ml_answer(self, mu: ParameterPoint) -> QoiVector:
         """Surrogate prediction; the unfitted surrogate is the zero model."""
-        if self.model is None:
+        return self._ml_answer(self.model, mu)
+
+    def _ml_answer(self, model: KernelModel | None, mu: ParameterPoint) -> QoiVector:
+        if model is None:
             return QoiVector(np.zeros(self.grid.n_steps), self.grid.dt)
-        return predict(self.model, mu)
+        return predict(model, mu)
 
     def rb_answer(self, mu: ParameterPoint) -> tuple[QoiVector, float]:
         """Reduced output and its error bound against the current basis."""
@@ -168,8 +202,11 @@ class AdaptiveHierarchy:
         An unfitted surrogate counts as the zero model, so the certificate
         degenerates to delta_rb + ||f_rb||.
         """
+        return self._certify(self.model, mu)
+
+    def _certify(self, model: KernelModel | None, mu: ParameterPoint) -> MlCertificate:
         f_rb, delta = self.rb_answer(mu)
-        f_ml = self.ml_answer(mu)
+        f_ml = self._ml_answer(model, mu)
         gap = qoi_norm(QoiVector(f_rb.values - f_ml.values, f_rb.dt))
         return MlCertificate(delta + gap, delta, f_rb, f_ml)
 
@@ -181,20 +218,29 @@ class AdaptiveHierarchy:
             raise ValueError(f"{mu} lies outside the parameter box {self.box}")
         start = time.perf_counter()
         cfg = self.config
-        delta = cert = learned = None
+        delta = cert = None
+        work: dict[str, int] = {}
+        surrogate = self._surrogate
+        # Size-threshold trust needs a fitted or due surrogate; the check fits nothing.
+        trusted = (cfg.trust_mode == "size_threshold" and surrogate is not None
+                   and len(self.train) >= cfg.trust_threshold)
+        if trusted or cfg.trust_mode == "always_validate":
+            surrogate = self._fitted(work)
+        learned = (self.rm, self.train, surrogate, self._last_due_size)
 
-        if (cfg.trust_mode == "size_threshold" and self.model is not None
-                and len(self.train) >= cfg.trust_threshold):
-            answer, used, work = self.ml_answer(mu), "ML", {"ml_predicts": 1}
+        if trusted:
+            answer, used = self._ml_answer(surrogate, mu), "ML"
+            work["ml_predicts"] = 1
         else:
-            cert = self.certify(mu) if cfg.trust_mode == "always_validate" else None
+            cert = self._certify(surrogate, mu) if cfg.trust_mode == "always_validate" else None
             f_rb, delta = (cert.f_rb, cert.delta_rb) if cert else self.rb_answer(mu)
-            work = {"rb_solves": 1, "ml_predicts": int(cert is not None)}
+            work.update(rb_solves=1, ml_predicts=int(cert is not None))
             if cert is not None and cert.value <= cfg.validation_slack * cfg.rom_tol:
                 answer, used = cert.f_ml, "ML"
             else:
                 used = "RB" if delta <= cfg.rom_tol else "FOM"
-                answer, learned = self._harvest(mu, f_rb if used == "RB" else None, work)
+                answer, learned = self._harvest(mu, f_rb if used == "RB" else None, work,
+                                                surrogate)
 
         self._commit(work, learned)
         self._next_index += 1
@@ -210,10 +256,16 @@ class AdaptiveHierarchy:
         )
         return answer, record
 
-    def _harvest(self, mu: ParameterPoint, f_rb: QoiVector | None, work: dict[str, int]):
-        """Answer and (basis, training set, surrogate, last fit size) after learning mu.
+    def _harvest(self, mu: ParameterPoint, f_rb: QoiVector | None, work: dict[str, int],
+                 surrogate: KernelModel | TrainingSet | None):
+        """Answer and (basis, training set, surrogate, last due size) after
+        learning mu; the last due size is the training-set size at which the
+        last refit fell due.
 
-        `f_rb` None takes the FOM branch.  Writes nothing but the caller's `work`.
+        `f_rb` None takes the FOM branch.  `surrogate` is the one the query
+        read.  A refit that falls due stores the new training set in its
+        place, unfitted; `_harvest` copies the set before adding, so nothing
+        mutates it later.  Writes nothing but the caller's `work`.
         """
         cfg = self.config
         rm, train, answer = self.rm, self.train.copy(), f_rb
@@ -227,18 +279,16 @@ class AdaptiveHierarchy:
                                "returning the FOM answer anyway", mu)
                 work["stagnated"] = 1
         train.add(mu, answer, "RB" if f_rb is not None else "FOM")
-        model, fit_size = self.model, self._last_fit_size
-        if len(train) - fit_size >= cfg.retrain_every:
-            model, fit_size = fit(train, self.kernel_config), len(train)
-            work["fits"] = 1
-        return answer, (rm, train, model, fit_size)
+        due_size = self._last_due_size
+        if len(train) - due_size >= cfg.retrain_every:
+            surrogate, due_size = train, len(train)
+        return answer, (rm, train, surrogate, due_size)
 
-    def _commit(self, work: dict[str, int], learned: tuple | None) -> None:
+    def _commit(self, work: dict[str, int], learned: tuple) -> None:
         """The one place controller state is written: counters, then what was learned."""
         for key, n in work.items():
             self.counters[key] += n
-        if learned is not None:
-            self.rm, self.train, self.model, self._last_fit_size = learned
+        self.rm, self.train, self._surrogate, self._last_due_size = learned
 
 
 # -- query log export ---------------------------------------------------------

@@ -291,6 +291,24 @@ HAPOD_CHUNKS = 8
 CONTAINMENT_RTOL = 1e-7
 
 
+def _projection_error(snapshots: np.ndarray, phi: np.ndarray, ip):
+    """The H-orthogonal projection error of the snapshots onto span(phi), its
+    energy and the snapshots' energy (squared H-norms summed over columns).
+
+    H times the snapshots is formed once and serves the projection and both
+    energies; the products die here, before the caller's POD allocates.  At
+    r = 0 the error is the snapshots themselves, not `snapshots - 0`: that has
+    the same values but is a C-ordered copy of the transposed trajectory
+    view, and the POD Gramian's roundoff depends on the layout.
+    """
+    h_snapshots = ip @ snapshots
+    traj_energy = float(np.einsum("ij,ij->", snapshots, h_snapshots))
+    if phi.shape[1] == 0:
+        return snapshots, traj_energy, traj_energy
+    err = snapshots - phi @ (phi.T @ h_snapshots)
+    return err, float(np.einsum("ij,ij->", err, ip @ err)), traj_energy
+
+
 def enrich(
     rm: ReducedModel,
     fom_traj: Trajectory,
@@ -304,19 +322,11 @@ def enrich(
     signals that the trajectory is already contained in the span and lets the
     caller detect stagnation.  The union basis is reorthonormalized with
     `h_orthonormalize`, old modes first, so the old span is preserved exactly.
+    H times the snapshots is formed once (`_projection_error`).
     """
     snapshots = fom_traj.coeffs.T
     phi = rm.basis.modes
-    # Not the general expression at r = 0: `snapshots - 0` has the same values
-    # but is a C-ordered copy of this transposed view, and the POD Gramian's
-    # roundoff depends on the layout.
-    if rm.dim:
-        err = snapshots - phi @ (phi.T @ (ops.ip @ snapshots))
-    else:
-        err = snapshots
-
-    total = float(np.einsum("ij,ij->", err, (ops.ip @ err)))
-    traj_energy = float(np.einsum("ij,ij->", snapshots, (ops.ip @ snapshots)))
+    err, total, traj_energy = _projection_error(snapshots, phi, ops.ip)
     if total <= CONTAINMENT_RTOL**2 * traj_energy:
         return rm, 0
 

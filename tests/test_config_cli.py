@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiermor.cli import _execute_sweep, main, validate_run
+from hiermor.cli import _execute_sweep, build_hierarchy, main, validate_run
 from hiermor.config import (
     ConfigError,
     RunConfig,
@@ -285,14 +285,28 @@ def test_svg_is_self_contained_with_marker_per_query(tmp_path):
     assert "href" not in svg and "url(" not in svg and "@import" not in svg
 
 
-def test_model_file_written_when_requested(tmp_path):
-    path = write_small_config(tmp_path, extra="[output]\nsave_model = true\n")
+@pytest.mark.parametrize("trust_mode", ["size_threshold", "never"])
+def test_model_file_written_when_requested(tmp_path, trust_mode):
+    body = SMALL_CONFIG.replace("[hierarchy]\n", f"[hierarchy]\ntrust_mode = {trust_mode}\n")
+    path = write_small_config(tmp_path, extra="[output]\nsave_model = true\n", body=body)
     out = tmp_path / "out"
     assert main(["run", str(path), "--out-dir", str(out)]) == 0
-    from hiermor.kernel import load_model
+    from hiermor.kernel import fit, load_model, save_model
 
     model = load_model(out / "model.bin")
     assert model.n_centers >= 1
+    # The file holds the fit of the training set at the last size a refit fell
+    # due at, whether a query read it (size_threshold) or only `run` did (never).
+    config = load_config(path)
+    state = build_hierarchy(config)
+    due = None
+    for mu in sample_parameters(config.sweep, config.box):
+        state.query(mu)
+        size = len(state.train)
+        if size % config.hierarchy.retrain_every == 0 and (due is None or size > len(due)):
+            due = state.train.copy()
+    save_model(fit(due, config.kernel), tmp_path / "reference.bin")
+    assert (out / "model.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()
 
 
 def test_seed_override_changes_sweep(tmp_path):

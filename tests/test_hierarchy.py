@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from hiermor import (
     AdaptiveHierarchy,
@@ -21,6 +21,7 @@ from hiermor import (
     solve_fom,
 )
 from hiermor.hierarchy import write_query_log, CSV_COLUMNS
+from hiermor.kernel import TrainingSet
 
 
 def make_state(n_cells=32, n_steps=32, box=None, **hier_kwargs):
@@ -247,6 +248,28 @@ def test_retrain_schedule():
     assert state.model.n_centers >= 1
 
 
+def test_fits_count_only_the_refits_read(monkeypatch):
+    # the desk schedule: a refit falls due at 10, 20, 30, 40 and 50 points, and
+    # only the last one is ever read, by the ML answers that trust starts at 50
+    import hiermor.hierarchy as hierarchy_mod
+
+    box = ParameterBox(pe_max=10.0)
+    state = make_state(box=box, retrain_every=10, trust_threshold=50)
+    fit, fitted = hierarchy_mod.fit, []
+
+    def counting_fit(train, config):
+        fitted.append(len(train))
+        return fit(train, config)
+
+    monkeypatch.setattr(hierarchy_mod, "fit", counting_fit)
+    records = [state.query(mu)[1] for mu in sweep_mus(box, 60, seed=11)]
+    sizes = {rec.train_size_after for rec in records}
+    assert [size for size in sorted(sizes) if size % 10 == 0] == [10, 20, 30, 40, 50]
+    assert [rec.model_used for rec in records].count("ML") == 10
+    assert fitted == [50] and state.counters["fits"] == 1
+    assert state.model.n_centers >= 1 and state.counters["fits"] == 1
+
+
 def test_duplicate_training_point_does_not_count_as_growth():
     box = ParameterBox(pe_max=10.0)
     state = make_state(box=box, retrain_every=2, trust_threshold=50)
@@ -260,27 +283,35 @@ def test_duplicate_training_point_does_not_count_as_growth():
 
 
 def test_fit_failure_keeps_previous_model(monkeypatch):
+    # every new point makes a refit due (retrain_every = 1); the first query
+    # that reads it is an ML answer, trusted from two points on
     box = ParameterBox(pe_max=10.0)
-    state = make_state(box=box, retrain_every=1, trust_threshold=50)
+    state = make_state(box=box, retrain_every=1, trust_threshold=2)
     state.query(ParameterPoint(1.0, 5.0))
-    previous, rm, counters = state.model, state.rm, dict(state.counters)
+    previous = state.model
     assert previous is not None
+    state.query(ParameterPoint(2.0, 6.0))  # not yet trusted: learned, a refit is due
+    rm, train, counters = state.rm, state.train, dict(state.counters)
+    assert state._surrogate is train and len(train) == 2
 
     import hiermor.hierarchy as hierarchy_mod
 
     def broken_fit(train, config):
         raise RuntimeError("synthetic fit failure")
 
-    mu = ParameterPoint(2.0, 6.0)  # a new point: the training set grows, a refit is due
+    mu = ParameterPoint(3.0, 7.0)
     with monkeypatch.context() as patch:
         patch.setattr(hierarchy_mod, "fit", broken_fit)
         with pytest.raises(RuntimeError, match="synthetic"):
             state.query(mu)
-    assert state.model is previous
-    assert state.rm is rm and len(state.train) == 1
-    assert state.counters == counters
+        with pytest.raises(RuntimeError, match="synthetic"):
+            state.model
+    assert state._surrogate is train
+    assert state.rm is rm and state.train is train and len(state.train) == 2
+    assert state.counters == counters and state._next_index == 3
     _, record = state.query(mu)
-    assert record.index == 2 and state.model is not previous
+    assert record.index == 3 and record.model_used == "ML"
+    assert state.model is not previous and state._surrogate is state.model
     assert state.counters["fits"] == counters["fits"] + 1
 
 
@@ -291,24 +322,29 @@ def test_failing_fom_branch_leaves_state_unchanged(monkeypatch, target):
     def broken(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    # empty basis: the first query takes the FOM branch, and retrain_every = 1
-    # makes it refit, so every one of the three layers runs inside the query
-    state = make_state(retrain_every=1)
-    mu = ParameterPoint(1.0, 10.0)
-    rm = state.rm
+    # always_validate reads the surrogate first: the first query leaves a
+    # refit due (retrain_every = 1), and the second, far from the first, fits
+    # it, fails both certificates and takes the FOM branch, so every one of
+    # the three layers runs inside that query
+    state = make_state(retrain_every=1, trust_mode="always_validate", rom_tol=1e-4)
+    state.query(ParameterPoint(1.0, 10.0))
+    mu = ParameterPoint(5.0, 2.0)
+    rm, train, counters = state.rm, state.train, dict(state.counters)
+    assert state._surrogate is train
     with monkeypatch.context() as patch:
         patch.setattr(hierarchy_mod, target, broken)
         with pytest.raises(RuntimeError, match="synthetic"):
             state.query(mu)
-    # nothing is committed, not even the RB solve that preceded the failure
-    assert all(n == 0 for n in state.counters.values())
-    assert state.rm is rm and state.rm.dim == 0
-    assert len(state.train) == 0
-    assert state.model is None
-    assert state._next_index == 1
+    # nothing is committed, not even the fit and the RB solve that preceded
+    # the failure
+    assert state.counters == counters
+    assert state.rm is rm and state.rm.dim == rm.dim
+    assert state.train is train and len(state.train) == 1
+    assert state._surrogate is train
+    assert state._next_index == 2
     _, record = state.query(mu)
-    assert record.index == 1 and record.model_used == "FOM"
-    assert state.counters["fom_solves"] == 1 and state.counters["fits"] == 1
+    assert record.index == 2 and record.model_used == "FOM"
+    assert state.counters["fom_solves"] == 2 and state.counters["fits"] == 1
 
 
 # -- stagnation ---------------------------------------------------------------------
@@ -389,8 +425,9 @@ STATEFUL_POINTS = st.sampled_from(
 
 
 def _snapshot(state):
+    """The stored fields; reading `state.model` would fit a due refit."""
     return (dict(state.counters), state.rm, state.train, [id(e) for e in state.train],
-            state.model, state._last_fit_size, state._next_index)
+            state._surrogate, state._last_due_size, state._next_index)
 
 
 class QueryLadderMachine(RuleBasedStateMachine):
@@ -429,6 +466,29 @@ class QueryLadderMachine(RuleBasedStateMachine):
                 assert _snapshot(self.state) == before
                 return
         self._check(record)  # the answering tier never reached the broken layer
+
+    @precondition(lambda self: isinstance(self.state._surrogate, TrainingSet))
+    @rule(mu=STATEFUL_POINTS)
+    def failing_fit_read(self, mu):
+        """A due refit that fails changes nothing: in the query that reads
+        it, or in a `model` read where the next query would not read it."""
+        import hiermor.hierarchy as hierarchy_mod
+
+        cfg = self.state.config
+        reads = cfg.trust_mode == "always_validate" or (
+            cfg.trust_mode == "size_threshold" and len(self.state.train) >= cfg.trust_threshold)
+        before = _snapshot(self.state)
+        with mock.patch.object(hierarchy_mod, "fit", side_effect=RuntimeError("synthetic")):
+            with pytest.raises(RuntimeError, match="synthetic"):
+                self.state.query(mu) if reads else self.state.model
+        assert _snapshot(self.state) == before
+
+    @rule()
+    def read_model(self):
+        fits, due = self.state.counters["fits"], isinstance(self.state._surrogate, TrainingSet)
+        model = self.state.model
+        assert self.state.counters["fits"] == fits + due
+        assert self.state._surrogate is model and self.state.model is model
 
     @rule()
     def outside_query(self):

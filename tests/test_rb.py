@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from hiermor import (
     solve_rb,
 )
 from hiermor.fem import load_vector, system_matrix, theta
-from hiermor.pod import h_orthonormalize
+from hiermor.pod import h_orthonormalize, hapod
+import hiermor.rb as rb_mod
 from hiermor.rb import ErrorBound, coercivity_constants
 
 
@@ -494,3 +496,69 @@ def test_enrich_via_hapod_for_long_trajectories(small_problem, reference_traject
     # both bases certify the trajectory's parameter
     rtraj, _ = solve_rb(hier, mu, grid)
     assert estimate(hier, mu, rtraj, grid).delta_rb <= 1e-2
+
+
+def _enrich_reference(rm, fom_traj, ops, energy_tol=1e-6, max_modes=25):
+    """`enrich` with its expressions from before it formed H times the
+    snapshots once: every product on the layout at hand."""
+    snapshots = fom_traj.coeffs.T
+    phi = rm.basis.modes
+    if rm.dim:
+        err = snapshots - phi @ (phi.T @ (ops.ip @ snapshots))
+    else:
+        err = snapshots
+    total = float(np.einsum("ij,ij->", err, (ops.ip @ err)))
+    traj_energy = float(np.einsum("ij,ij->", snapshots, (ops.ip @ snapshots)))
+    if total <= rb_mod.CONTAINMENT_RTOL**2 * traj_energy:
+        return rm, 0
+    m = err.shape[1]
+    if m > rb_mod.HAPOD_SNAPSHOT_THRESHOLD:
+        eps_star = energy_tol * math.sqrt(total / m)
+        chunk_size = max(1, math.ceil(m / rb_mod.HAPOD_CHUNKS))
+        chunks = [err[:, i: i + chunk_size] for i in range(0, m, chunk_size)]
+        new = hapod(chunks, ops.ip, eps_star=eps_star, omega=0.5)
+        if new.dim > max_modes:
+            new = PodBasis(new.modes[:, :max_modes], new.singular_values[:max_modes])
+    else:
+        new = pod(err, ops.ip, rank=max_modes, energy_tol=energy_tol)
+    if new.dim == 0:
+        return rm, 0
+    union, _ = h_orthonormalize(np.hstack([phi, new.modes]), ops.ip, drop_tol=1e-10)
+    added = union.shape[1] - rm.dim
+    if added <= 0:
+        return rm, 0
+    return project(ops, PodBasis(union, np.ones(union.shape[1])), rm.init_state), added
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("through_hapod", [False, True], ids=["pod", "hapod"])
+@pytest.mark.parametrize("r", [0, 3])
+def test_enrich_matches_old_expressions_bit_for_bit(small_problem, reference_trajectory,
+                                                    monkeypatch, r, through_hapod):
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    snapshots = traj.coeffs.T
+    assert snapshots.flags.f_contiguous and not snapshots.flags.c_contiguous
+    # The sparse product copies a non-C-contiguous operand to C order itself,
+    # so the transposed view gives the bits of a C-ordered copy, and an
+    # explicit copy would save nothing.
+    assert _same_bits(ops.ip @ snapshots, ops.ip @ np.ascontiguousarray(snapshots))
+    if through_hapod:
+        monkeypatch.setattr(rb_mod, "HAPOD_SNAPSHOT_THRESHOLD", 8)
+    basis = random_basis(ops, r, seed=9) if r else empty_basis(ops.n_dofs)
+    rm0 = project(ops, basis, np.zeros(ops.n_dofs))
+    new, added = enrich(rm0, traj, ops)
+    old, added_old = _enrich_reference(rm0, traj, ops)
+    assert added == added_old > 0
+    for field in dataclasses.fields(new):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        if isinstance(a, PodBasis):
+            assert _same_bits(a.modes, b.modes)
+            assert _same_bits(a.singular_values, b.singular_values)
+        elif isinstance(a, np.ndarray):
+            assert _same_bits(a, b), field.name
+        else:
+            assert a == b, field.name
