@@ -36,6 +36,7 @@ __all__ = [
     "MeshSpec",
     "TimeGrid",
     "FomOperators",
+    "IpFactor",
     "Trajectory",
     "QoiVector",
     "assemble",
@@ -45,6 +46,7 @@ __all__ = [
     "load_vector",
     "theta",
     "affine",
+    "tridiagonal",
 ]
 
 
@@ -175,18 +177,65 @@ class FomOperators:
     _coercivity: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def ip_half_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Y = D^-1/2 L^-1 rhs for ip = L D L^T, L unit lower bidiagonal.
+        """Y = D^-1/2 L^-1 rhs for ip = L D L^T (`IpFactor`), rhs (n_dofs, m).
 
         Y^T Y = rhs^T ip^-1 rhs, so each column's Euclidean norm is its dual
         norm and Gramians of Riesz representers are Gramians of Y, with no
-        full solve and no squared Gram matrix.  rhs: (n_dofs, m) matrix.
-        """
-        d, e, info = dpttrf(self.ip.diagonal(), self.ip.diagonal(1))
+        full solve and no squared Gram matrix."""
+        factor = IpFactor.of(self.ip)
+        band = np.vstack([np.ones(self.n_dofs), np.append(factor.sub, 0.0)])
+        return dtbtrs(band, rhs, uplo="L", diag="U")[0] / factor.root_d[:, None]
+
+
+def tridiagonal(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Main and first off-diagonal of a symmetric tridiagonal matrix, sparse or
+    dense; ValueError for any other matrix."""
+    csr = sp.csr_matrix(mat)
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    off = csr.diagonal(1)
+    if (csr.shape[0] != csr.shape[1] or np.any((abs(csr.indices - rows) > 1) & (csr.data != 0))
+            or np.any(off != csr.diagonal(-1))):
+        raise ValueError("matrix is not symmetric tridiagonal")
+    return csr.diagonal(), off
+
+
+@dataclass(frozen=True)
+class IpFactor:
+    """ip = L D L^T by LAPACK PTTRF, the only factorization of an inner product matrix.
+
+    L is unit lower bidiagonal with subdiagonal `sub`; `root_d` is D^1/2.  In
+    the coordinates Y = D^1/2 L^T X, H inner products are Euclidean ones
+    (Y^T Y = X^T ip X); each map is one bidiagonal product or solve.
+    """
+
+    root_d: np.ndarray
+    sub: np.ndarray
+
+    @classmethod
+    def of(cls, ip) -> IpFactor:
+        """ValueError unless ip is symmetric tridiagonal and positive definite."""
+        d, e, info = dpttrf(*tridiagonal(ip))
         if info != 0:
             raise ValueError("inner product matrix is not positive definite")
-        band = np.vstack([np.ones(self.n_dofs), np.append(e, 0.0)])
-        y, _ = dtbtrs(band, rhs, uplo="L", diag="U")
-        return y / np.sqrt(d)[:, None]
+        return cls(np.sqrt(d), e)
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """Y = D^1/2 L^T X for an (n, m) X, new and Fortran-ordered like a
+        trajectory's snapshots `coeffs.T`; its bits do not depend on X's layout."""
+        xt = x.T
+        yt = np.empty(xt.shape)
+        np.multiply(xt[:, 1:], self.sub, out=yt[:, :-1])
+        yt[:, :-1] += xt[:, :-1]
+        yt[:, -1] = xt[:, -1]
+        yt *= self.root_d
+        return yt.T
+
+    def from_coords(self, y: np.ndarray) -> np.ndarray:
+        """X = L^-T D^-1/2 Y, the inverse of `coords`, C-ordered."""
+        if y.shape[1] == 0:  # scipy's TBTRS wrapper corrupts the heap given no columns
+            return np.zeros(y.shape)
+        band = np.vstack([np.append(0.0, self.sub), np.ones(self.root_d.size)])
+        return np.ascontiguousarray(dtbtrs(band, y / self.root_d[:, None], uplo="U", diag="U")[0])
 
 
 def theta(mu: ParameterPoint) -> tuple[float, float, float]:

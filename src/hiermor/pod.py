@@ -1,10 +1,12 @@
-"""POD by the method of snapshots, plus an incremental hierarchical variant.
+"""POD by a randomized range finder, plus an incremental hierarchical variant.
 
-All decompositions are taken with respect to a supplied SPD inner product
-matrix H: the Gramian S^T H S of the snapshot matrix S is eigendecomposed,
-so no object of size n_dofs x n_dofs is ever formed.  Returned modes are
-H-orthonormal and deterministically signed (first significant entry of each
-mode is positive).
+All decompositions are taken in the inner product of a supplied symmetric
+positive definite tridiagonal matrix H, in the coordinates of its factor:
+with H = L D L^T, Y = D^1/2 L^T S has Y^T Y = S^T H S, so the H geometry of
+the snapshots S is the Euclidean geometry of Y, which is decomposed without
+squaring it, and modes come back through one bidiagonal solve.  No object of
+size n_dofs x n_dofs is ever formed.  Returned modes are H-orthonormal and
+deterministically signed (first significant entry of each mode is positive).
 """
 
 from __future__ import annotations
@@ -14,10 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
+from .fem import IpFactor
+
 __all__ = ["PodBasis", "pod", "hapod", "h_orthonormalize"]
 
 # Relative singular value below which modes are treated as numerically zero.
 RANK_CUTOFF = 1e-12
+# Sketch columns beyond the requested rank, and the seed of the Gaussian
+# sketch (Halko, Martinsson & Tropp 2011, SIAM Rev. 53(2), sec. 4).  Each
+# call draws from its own generator, so no other random state moves its bits.
+OVERSAMPLING = 10
+SKETCH_SEED = 20110531
 
 
 @dataclass
@@ -32,13 +41,9 @@ class PodBasis:
         return self.modes.shape[1]
 
 
-def _as_operator(ip, n):
-    """Normalize the inner product argument; None means the identity."""
-    if ip is None:
-        import scipy.sparse as sp
-
-        return sp.identity(n, format="csr")
-    return ip
+def _factor(ip, n: int) -> IpFactor:
+    """The factor of the inner product matrix; None stands for the identity."""
+    return IpFactor(np.ones(n), np.zeros(max(n - 1, 0))) if ip is None else IpFactor.of(ip)
 
 
 def _empty_basis(n: int) -> PodBasis:
@@ -60,98 +65,64 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
 def h_orthonormalize(
     vectors: np.ndarray, ip, drop_tol: float = 1e-10
 ) -> tuple[np.ndarray, list[int]]:
-    """Gram-Schmidt in the H inner product, two classical passes per column.
+    """H-orthonormal basis of the columns' span from Householder QRs of Y = D^1/2 L^T V.
 
-    Two passes against the accepted block Q are as accurate as reorthogonalized
-    modified Gram-Schmidt (Giraud, Langou, Rozloznik 2005); with H @ Q kept,
-    a pass is two dense products.  Columns whose post-projection H-norm falls
-    below `drop_tol` (relative to max(initial norm, 1)) are dropped.  Returns
-    the orthonormal columns and the indices of the surviving input columns.
+    |R_jj| of the QR of Y is the H-norm of column j's part H-orthogonal to
+    the columns before it; the column is dropped when that is at most
+    `drop_tol` * max(||v_j||_H, 1).  The QR of the kept columns, signed so
+    that diag R > 0, gives the basis: its leading columns span the leading
+    kept columns, and leading H-orthonormal columns return unchanged to roundoff.
+    Returns the basis and the indices of the kept columns; `ip` is as for `pod`.
     """
-    n, m = vectors.shape
-    H = _as_operator(ip, n)
-    refs = np.sqrt(np.maximum(np.einsum("ij,ij->j", vectors, H @ vectors), 0.0))
-    # Accepted columns are stored as rows so the active block is contiguous.
-    q = np.empty((m, n))
-    hq = np.empty((m, n))
-    kept: list[int] = []
-    for j in range(m):
-        k = len(kept)
-        v = vectors[:, j].copy()
-        for _ in range(2):
-            v -= (hq[:k] @ v) @ q[:k]
-        hv = H @ v
-        nrm = np.sqrt(max(float(v @ hv), 0.0))
-        if nrm <= drop_tol * max(refs[j], 1.0):
-            continue
-        q[k] = v / nrm
-        hq[k] = hv / nrm
-        kept.append(j)
-    return np.ascontiguousarray(q[: len(kept)].T), kept
+    factor = _factor(ip, vectors.shape[0])
+    y = factor.coords(vectors)
+    q, r = la.qr(y, mode="economic")
+    reach = np.abs(np.diag(r))
+    refs = np.linalg.norm(y[:, : reach.size], axis=0)
+    kept = np.flatnonzero(reach > drop_tol * np.maximum(refs, 1.0)).tolist()
+    if len(kept) < y.shape[1]:
+        q, r = la.qr(y[:, kept], mode="economic")
+    q[:, np.diag(r) < 0.0] *= -1.0
+    return factor.from_coords(q), kept
 
 
-def _smallest_rank_with_tail(sigma_sq: np.ndarray, budget: float) -> int:
-    """Smallest r such that sum_{i>r} sigma_sq_i <= budget."""
-    total = float(sigma_sq.sum())
-    tails = total - np.cumsum(sigma_sq)
-    for i, tail in enumerate(np.concatenate([[total], tails])):
-        if tail <= budget:
-            return i
-    return sigma_sq.size
+def _truncation_rank(sigma: np.ndarray, resid_sq: float, rank: int | None,
+                     energy_tol: float | None, abs_tail: float | None) -> int:
+    """Number of modes to keep given the (descending) singular values of the
+    sketched block and the energy ||Y - Q B||_F^2 the sketch left out."""
+    # tails[i]: squared projection error onto the leading i modes, summed from
+    # the smallest term so that nothing cancels.
+    tails = np.append(np.cumsum(sigma[::-1] ** 2)[::-1], 0.0) + resid_sq
+    r = int(np.count_nonzero(sigma > RANK_CUTOFF * sigma[0]))
+    for budget in (abs_tail, None if energy_tol is None else energy_tol**2 * tails[0]):
+        # The smallest i with tails[i] <= budget; all modes when none is.
+        if budget is not None and tails[-1] <= budget:
+            r = min(r, int(np.argmax(tails <= budget)))
+    return r if rank is None else min(r, rank)
 
 
-def _truncation_rank(
-    sigma_sq: np.ndarray,
-    rank: int | None,
-    energy_tol: float | None,
-    abs_tail: float | None,
-) -> int:
-    """Number of modes to keep given the (descending) squared singular values."""
-    total = float(sigma_sq.sum())
-    if total <= 0.0:
-        return 0
-    # Numerical rank: the Gramian route cannot resolve eigenvalues below
-    # ~eps * lambda_max (those are roundoff, not data), which also subsumes
-    # the hard cutoff sigma_i > RANK_CUTOFF * sigma_max.
-    lam_max = float(sigma_sq[0])
-    noise = max((RANK_CUTOFF**2) * lam_max, 16.0 * np.finfo(float).eps * lam_max)
-    r = int(np.count_nonzero(sigma_sq > noise))
-    if energy_tol is not None:
-        r = min(r, _smallest_rank_with_tail(sigma_sq, energy_tol**2 * total))
-    if abs_tail is not None:
-        r = min(r, _smallest_rank_with_tail(sigma_sq, abs_tail))
-    if rank is not None:
-        r = min(r, rank)
-    return r
-
-
-def _pod_impl(
-    snapshots: np.ndarray,
-    ip,
-    rank: int | None,
-    energy_tol: float | None,
-    abs_tail: float | None,
-) -> PodBasis:
+def _pod_impl(snapshots: np.ndarray, factor: IpFactor, rank: int | None,
+              energy_tol: float | None, abs_tail: float | None) -> PodBasis:
+    """Randomized range finder on Y = D^1/2 L^T S (Halko, Martinsson & Tropp,
+    Alg. 4.4 with one power iteration), then the SVD of the small block
+    B = Q^T Y.  The truncation reads the exact tail ||Y - Q B||_F^2 +
+    sum_{i>r} sigma_i^2, so the energy rule holds a posteriori."""
     n, m = snapshots.shape
     if m == 0:
         return _empty_basis(n)
-    H = _as_operator(ip, n)
-    gram = snapshots.T @ (H @ snapshots)
-    gram = 0.5 * (gram + gram.T)
-    eigvals, eigvecs = la.eigh(gram)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    eigvecs = eigvecs[:, order]
-    r = _truncation_rank(eigvals, rank, energy_tol, abs_tail)
+    y = factor.coords(snapshots)
+    width = min(n, m) if rank is None else min(n, m, rank + OVERSAMPLING)
+    sketch = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
+    q = la.qr(y @ sketch, mode="economic")[0]
+    q = la.qr(y @ la.qr(y.T @ q, mode="economic")[0], mode="economic")[0]
+    b = q.T @ y
+    u, sigma, _ = la.svd(b, full_matrices=False)
+    resid = y.T - b.T @ q.T  # in Y's order: a mixed-order difference is a slow transpose
+    r = _truncation_rank(sigma, float(np.einsum("ij,ij->", resid, resid)),
+                         rank, energy_tol, abs_tail)
     if r == 0:
         return _empty_basis(n)
-    sigma = np.sqrt(eigvals[:r])
-    modes = snapshots @ (eigvecs[:, :r] / sigma)
-    # The Gramian route loses orthogonality for small singular values;
-    # H-orthonormalizing the modes restores it without leaving the span.
-    modes, kept = h_orthonormalize(modes, H, drop_tol=1e-13)
-    sigma = sigma[kept]
-    return PodBasis(_fix_signs(modes), sigma)
+    return PodBasis(_fix_signs(factor.from_coords(q @ u[:, :r])), sigma[:r])
 
 
 def pod(
@@ -163,17 +134,22 @@ def pod(
     """POD of the snapshot columns in the H = `ip` inner product.
 
     Truncation: `rank` keeps at most that many modes; `energy_tol` = tau keeps
-    the smallest r with sum_{i>r} sigma_i^2 <= tau^2 * sum_i sigma_i^2.  Both
-    may be combined (the stricter wins); modes with sigma below the numerical
-    rank cutoff are always discarded.  A zero snapshot matrix yields an empty
-    basis.
+    the smallest r with sum_{i>r} sigma_i^2 <= tau^2 * sum_i sigma_i^2, the
+    tail including what the sketch of width rank + OVERSAMPLING left out.
+    Both may be combined (the stricter wins); modes with sigma below the
+    numerical rank cutoff are always discarded.  A zero snapshot matrix
+    yields an empty basis.  The result depends only on the snapshots' values,
+    not on their memory layout or any random state.
 
     Parameters
     ----------
     snapshots : (n_dofs, m) ndarray, one snapshot per column.
-    ip : SPD inner product matrix (sparse or dense); None means identity.
+    ip : symmetric positive definite tridiagonal inner product matrix
+        (sparse or dense); None means identity.  Any other matrix raises
+        ValueError.
     """
-    return _pod_impl(np.asarray(snapshots, dtype=float), ip, rank, energy_tol, None)
+    snapshots = np.asarray(snapshots, dtype=float)
+    return _pod_impl(snapshots, _factor(ip, snapshots.shape[0]), rank, energy_tol, None)
 
 
 def hapod(
@@ -191,15 +167,14 @@ def hapod(
     acts as the final compression with allowance
     (1 - omega^2) * eps_star^2 * m_total.  Summing the allowances bounds the
     mean squared H-projection error of the full snapshot set onto the returned
-    basis by eps_star^2 per snapshot.
+    basis by eps_star^2 per snapshot (Himpe, Leibner & Rave 2018).
 
-    The bound is meaningful down to machine precision: eps_star^2 below
-    roughly eps_mach times the mean snapshot energy asks for directions the
-    snapshot Gramian cannot represent in double precision, and even an exact
-    full-rank POD leaves that residual.
+    The bound is meaningful down to the rank cutoff: eps_star^2 below
+    roughly RANK_CUTOFF^2 times the mean snapshot energy asks for directions
+    whose singular values are discarded as roundoff.
 
     The returned singular values approximate those of the concatenated
-    snapshot matrix.
+    snapshot matrix.  `ip` is as for `pod`.
     """
     if not 0.0 < omega < 1.0:
         raise ValueError("omega must lie in (0, 1)")
@@ -209,6 +184,7 @@ def hapod(
     if not chunks:
         return _empty_basis(0)
     n = chunks[0].shape[0]
+    factor = _factor(ip, n)
     m_total = sum(c.shape[1] for c in chunks)
     if m_total == 0:
         return _empty_basis(n)
@@ -224,5 +200,5 @@ def hapod(
             allow = (1.0 - omega**2) * eps_star**2 * m_total
         else:
             allow = (omega * eps_star) ** 2 * chunk.shape[1]
-        basis = _pod_impl(stacked, ip, None, None, allow)
+        basis = _pod_impl(stacked, factor, None, None, allow)
     return basis

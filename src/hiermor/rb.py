@@ -23,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dgesv, dpttrf
 
-from .fem import FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory, affine, theta
-from .pod import PodBasis, h_orthonormalize, hapod, pod
+from .fem import (FomOperators, IpFactor, ParameterPoint, QoiVector, TimeGrid, Trajectory, affine,
+                  theta, tridiagonal)
+# `hapod` is not called here; the benchmark's span table looks it up in this module.
+from .pod import PodBasis, h_orthonormalize, hapod, pod  # noqa: F401
 
 __all__ = [
     "ReducedModel",
@@ -79,19 +81,10 @@ class ErrorBound:
     residual_norms: np.ndarray
 
 
-def _tridiagonal(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Main and first off-diagonal of a symmetric tridiagonal sparse matrix."""
-    coo = mat.tocoo()
-    off = mat.diagonal(1)
-    if np.any((abs(coo.col - coo.row) > 1) & (coo.data != 0)) or np.any(off != mat.diagonal(-1)):
-        raise ValueError("coercivity bisection needs symmetric tridiagonal operators")
-    return mat.diagonal(), off
-
-
 def _pencil_min_eig(a, b) -> float:
     """Largest s found by bisection at which a - s b (b SPD) factors by Cholesky."""
-    ad, ae = _tridiagonal(a)
-    bd, be = _tridiagonal(b)
+    ad, ae = tridiagonal(a)
+    bd, be = tridiagonal(b)
     if dpttrf(ad, ae)[2] != 0:
         raise ValueError("operator is not positive definite; 0 is no coercivity bound")
     lo, hi = 0.0, float(np.min(ad / bd))
@@ -281,13 +274,8 @@ def estimate(
     return ErrorBound(math.sqrt(delta_sq), residual_norms)
 
 
-# Enrichment switches to the hierarchical POD once the trajectory has more
-# snapshots than this, to keep the dense Gramian small.
-HAPOD_SNAPSHOT_THRESHOLD = 512
-HAPOD_CHUNKS = 8
 # Relative H-norm of the projection error below which a trajectory counts as
-# contained in the span: the snapshot Gramian cannot resolve directions
-# beneath ~sqrt(eps) of the dominant mode, so enriching would add noise.
+# contained in the span, and enriching would add noise.
 CONTAINMENT_RTOL = 1e-7
 
 
@@ -295,18 +283,17 @@ def _projection_error(snapshots: np.ndarray, phi: np.ndarray, ip):
     """The H-orthogonal projection error of the snapshots onto span(phi), its
     energy and the snapshots' energy (squared H-norms summed over columns).
 
-    H times the snapshots is formed once and serves the projection and both
-    energies; the products die here, before the caller's POD allocates.  At
-    r = 0 the error is the snapshots themselves, not `snapshots - 0`: that has
-    the same values but is a C-ordered copy of the transposed trajectory
-    view, and the POD Gramian's roundoff depends on the layout.
+    Both energies are Euclidean in the coordinates of ip's factor, where the
+    projection is two dense products.  The error keeps the snapshots'
+    Fortran order, the one the POD's coordinates take.
     """
-    h_snapshots = ip @ snapshots
-    traj_energy = float(np.einsum("ij,ij->", snapshots, h_snapshots))
-    if phi.shape[1] == 0:
-        return snapshots, traj_energy, traj_energy
-    err = snapshots - phi @ (phi.T @ h_snapshots)
-    return err, float(np.einsum("ij,ij->", err, ip @ err)), traj_energy
+    factor = IpFactor.of(ip)
+    y = factor.coords(snapshots)
+    phi_y = factor.coords(phi)
+    coeffs = phi_y.T @ y
+    err = (snapshots.T - coeffs.T @ phi.T).T
+    resid = y.T - coeffs.T @ phi_y.T
+    return err, float(np.einsum("ij,ij->", resid, resid)), float(np.einsum("ij,ij->", y, y))
 
 
 def enrich(
@@ -322,7 +309,7 @@ def enrich(
     signals that the trajectory is already contained in the span and lets the
     caller detect stagnation.  The union basis is reorthonormalized with
     `h_orthonormalize`, old modes first, so the old span is preserved exactly.
-    H times the snapshots is formed once (`_projection_error`).
+    One POD serves every trajectory length.
     """
     snapshots = fom_traj.coeffs.T
     phi = rm.basis.modes
@@ -330,19 +317,7 @@ def enrich(
     if total <= CONTAINMENT_RTOL**2 * traj_energy:
         return rm, 0
 
-    m = err.shape[1]
-    if m > HAPOD_SNAPSHOT_THRESHOLD:
-        # hapod takes an absolute per-snapshot tolerance; match the relative
-        # energy rule via the total snapshot energy.
-        eps_star = energy_tol * math.sqrt(total / m)
-        chunk_size = max(1, math.ceil(m / HAPOD_CHUNKS))
-        chunks = [err[:, i: i + chunk_size] for i in range(0, m, chunk_size)]
-        new = hapod(chunks, ops.ip, eps_star=eps_star, omega=0.5)
-        if new.dim > max_modes:
-            new = PodBasis(new.modes[:, :max_modes], new.singular_values[:max_modes])
-    else:
-        new = pod(err, ops.ip, rank=max_modes, energy_tol=energy_tol)
-
+    new = pod(err, ops.ip, rank=max_modes, energy_tol=energy_tol)
     if new.dim == 0:
         return rm, 0
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -143,6 +144,60 @@ def test_determinism_bitwise(small_problem):
     b = pod(snapshots.copy(), ops.ip)
     assert np.array_equal(a.modes, b.modes)
     assert np.array_equal(a.singular_values, b.singular_values)
+
+
+def _same_bits(a, b):
+    return (a.modes.shape == b.modes.shape and a.modes.tobytes() == b.modes.tobytes()
+            and a.singular_values.tobytes() == b.singular_values.tobytes())
+
+
+def test_pod_depends_only_on_values(small_problem, reference_trajectory):
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    snapshots = traj.coeffs.T
+    assert snapshots.flags.f_contiguous and not snapshots.flags.c_contiguous
+    basis = pod(snapshots, ops.ip, rank=25, energy_tol=1e-6)
+    assert basis.dim > 0
+    assert _same_bits(basis, pod(np.ascontiguousarray(snapshots), ops.ip, rank=25, energy_tol=1e-6))
+    assert _same_bits(basis, pod(snapshots, ops.ip.toarray(), rank=25, energy_tol=1e-6))
+
+
+def test_pod_ignores_other_random_state(small_problem, reference_trajectory):
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    first = pod(traj.coeffs.T, ops.ip, rank=25, energy_tol=1e-6)
+    np.random.seed(1)
+    np.random.standard_normal(100)
+    np.random.default_rng().standard_normal(100)
+    np.random.default_rng(0).standard_normal(100)
+    assert _same_bits(first, pod(traj.coeffs.T, ops.ip, rank=25, energy_tol=1e-6))
+
+
+IP_USERS = {
+    "pod": lambda v, ip: pod(v, ip),
+    "hapod": lambda v, ip: hapod([v], ip),
+    "h_orthonormalize": lambda v, ip: h_orthonormalize(v, ip),
+}
+
+
+@pytest.mark.parametrize("call", IP_USERS.values(), ids=IP_USERS.keys())
+def test_non_tridiagonal_inner_product_is_rejected(small_problem, call):
+    ops, _ = small_problem
+    v = np.random.default_rng(47).standard_normal((ops.n_dofs, 3))
+    far = sp.csr_matrix(([1e-3, 1e-3], ([0, 5], [5, 0])), shape=ops.ip.shape)
+    for ip in (ops.ip + far, (ops.ip + far).toarray(), ops.ip + ops.ip @ ops.ip,
+               ops.ip + 1e-3 * sp.eye(ops.n_dofs, k=1)):
+        with pytest.raises(ValueError, match="symmetric tridiagonal"):
+            call(v, ip)
+
+
+@pytest.mark.parametrize("call", IP_USERS.values(), ids=IP_USERS.keys())
+def test_indefinite_inner_product_is_rejected(small_problem, call):
+    ops, _ = small_problem
+    v = np.random.default_rng(53).standard_normal((ops.n_dofs, 3))
+    for ip in (-ops.ip, ops.ip - 2.0 * ops.ip.diagonal().max() * sp.eye(ops.n_dofs)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            call(v, ip)
 
 
 def test_sign_convention():

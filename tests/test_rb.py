@@ -482,83 +482,67 @@ def test_enrich_then_bound_below_tolerance(small_problem, reference_trajectory):
     assert estimate(rm1, mu, rtraj, grid).delta_rb <= 1e-2
 
 
-def test_enrich_via_hapod_for_long_trajectories(small_problem, reference_trajectory, monkeypatch):
-    import hiermor.rb as rb_mod
-
-    ops, grid = small_problem
-    mu, traj, _ = reference_trajectory
+def test_enrich_long_trajectory_matches_hapod_rank():
+    # 601 snapshots: beyond the 512 at which enrichment once switched to HAPOD,
+    # one POD now serves every trajectory length.
+    ops, grid = assemble(MeshSpec(32)), TimeGrid(1.0, 600)
+    mu = ParameterPoint(1.0, 10.0)
+    traj, _ = solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
     rm0 = project(ops, empty_basis(ops.n_dofs), np.zeros(ops.n_dofs))
-    direct, added_direct = enrich(rm0, traj, ops)
-    monkeypatch.setattr(rb_mod, "HAPOD_SNAPSHOT_THRESHOLD", 8)
-    hier, added_hier = enrich(rm0, traj, ops)
-    assert added_hier > 0
-    assert abs(added_hier - added_direct) <= 2
-    # both bases certify the trajectory's parameter
-    rtraj, _ = solve_rb(hier, mu, grid)
-    assert estimate(hier, mu, rtraj, grid).delta_rb <= 1e-2
+    energy_tol, max_modes = 1e-6, 25
+    rm1, added = enrich(rm0, traj, ops, energy_tol=energy_tol, max_modes=max_modes)
+    assert 0 < added <= max_modes
+    rtraj, _ = solve_rb(rm1, mu, grid)
+    assert estimate(rm1, mu, rtraj, grid).delta_rb <= 1e-2
+    # HAPOD on 8 chunks with the per-snapshot tolerance of the same energy rule
+    snapshots = traj.coeffs.T
+    m = snapshots.shape[1]
+    total = float(np.einsum("ij,ij->", snapshots, ops.ip @ snapshots))
+    hier = hapod(np.array_split(snapshots, 8, axis=1), ops.ip,
+                 eps_star=energy_tol * math.sqrt(total / m), omega=0.5)
+    assert abs(added - min(hier.dim, max_modes)) <= 2
 
 
-def _enrich_reference(rm, fom_traj, ops, energy_tol=1e-6, max_modes=25):
-    """`enrich` with its expressions from before it formed H times the
-    snapshots once: every product on the layout at hand."""
-    snapshots = fom_traj.coeffs.T
-    phi = rm.basis.modes
-    if rm.dim:
-        err = snapshots - phi @ (phi.T @ (ops.ip @ snapshots))
-    else:
-        err = snapshots
-    total = float(np.einsum("ij,ij->", err, (ops.ip @ err)))
-    traj_energy = float(np.einsum("ij,ij->", snapshots, (ops.ip @ snapshots)))
-    if total <= rb_mod.CONTAINMENT_RTOL**2 * traj_energy:
-        return rm, 0
-    m = err.shape[1]
-    if m > rb_mod.HAPOD_SNAPSHOT_THRESHOLD:
-        eps_star = energy_tol * math.sqrt(total / m)
-        chunk_size = max(1, math.ceil(m / rb_mod.HAPOD_CHUNKS))
-        chunks = [err[:, i: i + chunk_size] for i in range(0, m, chunk_size)]
-        new = hapod(chunks, ops.ip, eps_star=eps_star, omega=0.5)
-        if new.dim > max_modes:
-            new = PodBasis(new.modes[:, :max_modes], new.singular_values[:max_modes])
-    else:
-        new = pod(err, ops.ip, rank=max_modes, energy_tol=energy_tol)
-    if new.dim == 0:
-        return rm, 0
-    union, _ = h_orthonormalize(np.hstack([phi, new.modes]), ops.ip, drop_tol=1e-10)
-    added = union.shape[1] - rm.dim
-    if added <= 0:
-        return rm, 0
-    return project(ops, PodBasis(union, np.ones(union.shape[1])), rm.init_state), added
-
-
-def _same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("through_hapod", [False, True], ids=["pod", "hapod"])
+@pytest.mark.parametrize("max_modes", [5, 25], ids=["sketch-narrower", "energy-rule"])
 @pytest.mark.parametrize("r", [0, 3])
-def test_enrich_matches_old_expressions_bit_for_bit(small_problem, reference_trajectory,
-                                                    monkeypatch, r, through_hapod):
+def test_enrich_matches_dense_oracle(small_problem, reference_trajectory, monkeypatch, r,
+                                     max_modes):
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
-    snapshots = traj.coeffs.T
-    assert snapshots.flags.f_contiguous and not snapshots.flags.c_contiguous
-    # The sparse product copies a non-C-contiguous operand to C order itself,
-    # so the transposed view gives the bits of a C-ordered copy, and an
-    # explicit copy would save nothing.
-    assert _same_bits(ops.ip @ snapshots, ops.ip @ np.ascontiguousarray(snapshots))
-    if through_hapod:
-        monkeypatch.setattr(rb_mod, "HAPOD_SNAPSHOT_THRESHOLD", 8)
+    pods = []
+
+    def recording_pod(*args, **kwargs):
+        pods.append(pod(*args, **kwargs))
+        return pods[-1]
+
+    monkeypatch.setattr(rb_mod, "pod", recording_pod)
     basis = random_basis(ops, r, seed=9) if r else empty_basis(ops.n_dofs)
     rm0 = project(ops, basis, np.zeros(ops.n_dofs))
-    new, added = enrich(rm0, traj, ops)
-    old, added_old = _enrich_reference(rm0, traj, ops)
-    assert added == added_old > 0
-    for field in dataclasses.fields(new):
-        a, b = getattr(new, field.name), getattr(old, field.name)
-        if isinstance(a, PodBasis):
-            assert _same_bits(a.modes, b.modes)
-            assert _same_bits(a.singular_values, b.singular_values)
-        elif isinstance(a, np.ndarray):
-            assert _same_bits(a, b), field.name
-        else:
-            assert a == b, field.name
+    energy_tol = 1e-6
+    rm1, added = enrich(rm0, traj, ops, energy_tol=energy_tol, max_modes=max_modes)
+    (new,) = pods
+    assert added == new.dim > 0
+
+    # Oracle: ip = C C^T by a dense Cholesky; the POD of the projection error
+    # is the SVD of C^T err, whose tails are exact.
+    h = ops.ip.toarray()
+    chol = np.linalg.cholesky(h)
+    snapshots, phi = traj.coeffs.T, basis.modes
+    err = snapshots - phi @ (phi.T @ (h @ snapshots))
+    u, sigma, _ = np.linalg.svd(chol.T @ err)
+    tails = np.append(np.cumsum(sigma[::-1] ** 2)[::-1], 0.0)
+    k = min(int(np.argmax(tails <= energy_tol**2 * tails[0])), max_modes)
+    assert new.dim == k
+    np.testing.assert_allclose(new.singular_values, sigma[:k], rtol=1e-9, atol=0.0)
+
+    def h_residual(x, q):
+        return x - q @ (q.T @ (h @ x))
+
+    oracle = la.solve_triangular(chol.T, u[:, :k])
+    union = rm1.basis.modes
+    assert np.abs(h_residual(oracle, new.modes)).max() < 1e-9
+    assert np.abs(h_residual(new.modes, oracle)).max() < 1e-9
+    assert np.abs(h_residual(oracle, union)).max() < 1e-9
+    # the error left after enrichment is the oracle's tail
+    left = h_residual(err, union)
+    assert float(np.einsum("ij,ij->", left, h @ left)) == pytest.approx(tails[k], rel=1e-6)
