@@ -5,6 +5,11 @@ advection-diffusion-reaction transport, a reduced-basis model certified by
 a residual-based output error bound, and a greedy vectorial kernel
 surrogate, together with the controller that routes parameter queries
 across the tiers and harvests training data on the way.
+
+The package re-exports functions under the names of their submodules
+(`pod` from `hiermor.pod`), and the re-export shadows the submodule
+attribute: `import hiermor.pod as m` binds the function `hiermor.pod.pod`,
+not the module.  Reach the module with `importlib.import_module("hiermor.pod")`.
 """
 
 from .fem import (

@@ -163,8 +163,8 @@ class FomOperators:
     inner product mass + diffusion used for all orthogonality and dual norms.
 
     Treated as immutable after assembly (solvers for distinct parameters may
-    share one instance); the cached coercivity constants are computed lazily
-    on first use.
+    share one instance); the cached coercivity constants and the factor of
+    ip are computed lazily on first use.
     """
 
     mass: sp.csr_matrix
@@ -175,14 +175,22 @@ class FomOperators:
     n_dofs: int
     inflow_value: float
     _coercivity: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _ip_factor: IpFactor | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def ip_factor(self) -> IpFactor:
+        """`IpFactor.of(ip)`, factored once per operator set."""
+        if self._ip_factor is None:
+            self._ip_factor = IpFactor.of(self.ip)
+        return self._ip_factor
 
     def ip_half_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Y = D^-1/2 L^-1 rhs for ip = L D L^T (`IpFactor`), rhs (n_dofs, m).
+        """Y = D^-1/2 L^-1 rhs for ip = L D L^T (`ip_factor`), rhs (n_dofs, m).
 
         Y^T Y = rhs^T ip^-1 rhs, so each column's Euclidean norm is its dual
         norm and Gramians of Riesz representers are Gramians of Y, with no
         full solve and no squared Gram matrix."""
-        factor = IpFactor.of(self.ip)
+        factor = self.ip_factor
         band = np.vstack([np.ones(self.n_dofs), np.append(factor.sub, 0.0)])
         return dtbtrs(band, rhs, uplo="L", diag="U")[0] / factor.root_d[:, None]
 
@@ -244,7 +252,12 @@ def theta(mu: ParameterPoint) -> tuple[float, float, float]:
 
 
 def affine(th, terms):
-    """sum_q th[q] terms[q] in theta order, written out: a zip loop slows solve_rb."""
+    """sum_q th[q] terms[q] in theta order, written out, for terms of any type.
+
+    Its callers are `system_matrix` and `load_vector` (sparse blocks and load
+    rows) and `rb.coercivity_lb` (scalars).  The RB online tier contracts its
+    stacked per-basis operands by one product instead.
+    """
     return th[0] * terms[0] + th[1] * terms[1] + th[2] * terms[2]
 
 

@@ -42,8 +42,11 @@ class PodBasis:
 
 
 def _factor(ip, n: int) -> IpFactor:
-    """The factor of the inner product matrix; None stands for the identity."""
-    return IpFactor(np.ones(n), np.zeros(max(n - 1, 0))) if ip is None else IpFactor.of(ip)
+    """The factor of the inner product matrix; None stands for the identity,
+    and a given factor is used as it is."""
+    if ip is None:
+        return IpFactor(np.ones(n), np.zeros(max(n - 1, 0)))
+    return ip if isinstance(ip, IpFactor) else IpFactor.of(ip)
 
 
 def _empty_basis(n: int) -> PodBasis:
@@ -145,7 +148,8 @@ def pod(
     ----------
     snapshots : (n_dofs, m) ndarray, one snapshot per column.
     ip : symmetric positive definite tridiagonal inner product matrix
-        (sparse or dense); None means identity.  Any other matrix raises
+        (sparse or dense), or its `IpFactor` (as `FomOperators.ip_factor`
+        caches it); None means identity.  Any other matrix raises
         ValueError.
     """
     snapshots = np.asarray(snapshots, dtype=float)

@@ -18,7 +18,7 @@ query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dgesv, dpttrf
@@ -53,6 +53,19 @@ class ReducedModel:
     riesz_sqrt @ riesz_sqrt.T is that Gramian up to `RIESZ_DROP_TOL`.  Only
     the factor is kept, for the cancellation-free dual-norm evaluation.
 
+    `__post_init__` derives the C-contiguous per-basis operands the online
+    tier contracts, so every construction (`project`, `dataclasses.replace`)
+    refreshes them:
+
+    - `step_terms` (Q + 1, 2 (r + 1)^2): per term [M_r, B_1 .. B_Q] the
+      transposes of its share in the augmented step matrix
+      S^ = [[M_r + dt A_r(mu), 0], [0, 1]] and right-hand side
+      B^ = [[M_r, dt b_r(mu)], [0, 1]]; weighted by (1, dt theta) they sum
+      to the transposes of S^ and B^, which LAPACK reads in Fortran order
+      as S^ and B^ themselves.
+    - `riesz_loads` (Q, q) and `riesz_ops` (Q + 1, r q): the load rows and
+      the operator row blocks [R_M, R_1 .. R_Q] of `riesz_sqrt`.
+
     Immutable: enrichment builds a new model instead of mutating, so
     concurrent queries against one instance are safe.
     """
@@ -69,6 +82,22 @@ class ReducedModel:
     gamma_react: float
     init_error: float
     init_state: np.ndarray
+    step_terms: np.ndarray = field(init=False, repr=False, compare=False)
+    riesz_loads: np.ndarray = field(init=False, repr=False, compare=False)
+    riesz_ops: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        r = self.dim
+        n_terms = len(self.red_loads)
+        terms = np.zeros((n_terms + 1, 2, r + 1, r + 1))
+        terms[0, :, :r, :r] = self.red_mass.T
+        terms[0, :, r, r] = 1.0
+        terms[1:, 0, :r, :r] = self.red_blocks.transpose(0, 2, 1)
+        terms[1:, 1, r, :r] = self.red_loads
+        self.step_terms = terms.reshape(n_terms + 1, -1)
+        rows = np.ascontiguousarray(self.riesz_sqrt)
+        self.riesz_loads = rows[:n_terms]
+        self.riesz_ops = rows[n_terms:].reshape(n_terms + 1, r * rows.shape[1])
 
     @property
     def dim(self) -> int:
@@ -200,39 +229,43 @@ def solve_rb(
     """Implicit Euler on the reduced system; returns (reduced trajectory, QoI).
 
     The trajectory has one row per time step (row 0 = projected initial
-    state).  One LAPACK GESV of the step matrix S = M + dt A(mu) against
-    [M | dt b] (one LU factorization and its solve) gives the one-step
-    propagator a^{k+1} = G a^k + g, G = S^-1 M, g = S^-1 dt b.
-    The rows are then filled by doubling: with rows [0, m) known, row m + j
-    is a^{m+j} = G^m a^j + c_m, c_m = sum_{i<m} G^i g, for j < m; then
-    c_2m = G^m c_m + c_m and G^2m = G^m G^m.  Cost O(r^3 + n_steps r^2) in
-    ceil(log2(n_steps + 1)) trajectory products instead of one triangular
-    solve per step.  Nothing here touches an n_dofs-sized object.  Raises
+    state).  The step a^{k+1} = G a^k + g, G = S^-1 M, g = S^-1 dt b, with
+    S = M + dt A(mu), is linear in the augmented state [a; 1]: the augmented
+    propagator G^ = [[G, g], [0, 1]] solves S^ G^ = B^ for the augmented
+    S^ and B^ of `ReducedModel.step_terms`, whose one product with
+    (1, dt theta) builds both, so one LAPACK GESV gives G^ (for r = 0 a
+    1 x 1 system).  The rows [a^n, 1] are then filled by doubling: with rows
+    [0, m) known and P = (G^h)^T for some h <= m, rows [m, m + k) are rows
+    [m - h, m - h + k) times P, k <= h, written in place; P is squared
+    (h = m) only while more than h rows remain.  The last column stays
+    exactly 1.  Cost O(r^3 log n_steps + n_steps r^2) in about
+    2 log2(n_steps) products, and nothing touches an n_dofs-sized object.
+    The trajectory returned is a view of the first r columns.  Raises
     RuntimeError when S is exactly singular.
     """
     r = rm.dim
     dt = grid.dt
-    if r == 0:
-        return np.zeros((grid.n_steps + 1, 0)), QoiVector(np.zeros(grid.n_steps), dt)
-
     th = theta(mu)
-    step = rm.red_mass + dt * affine(th, rm.red_blocks)
-    _, _, prop, info = dgesv(step, np.column_stack([rm.red_mass, dt * affine(th, rm.red_loads)]))
+    weights = np.array([1.0, dt * th[0], dt * th[1], dt * th[2]])
+    step_t, rhs_t = (weights @ rm.step_terms).reshape(2, r + 1, r + 1)
+    _, _, prop, info = dgesv(step_t.T, rhs_t.T, overwrite_a=1, overwrite_b=1)
     if info > 0:
         raise RuntimeError("reduced step matrix is singular (degenerate basis)")
 
-    g_pow, c = prop[:, :r], prop[:, r]  # G^m and c_m, for m = 1
+    power = prop.T  # (G^h)^T for h = 1, C-ordered
     n_rows = grid.n_steps + 1
-    traj = np.empty((n_rows, r))
-    traj[0] = rm.red_init
-    m = 1
+    traj = np.empty((n_rows, r + 1))
+    traj[0, :r] = rm.red_init
+    traj[0, r] = 1.0
+    m = h = 1
     while m < n_rows:
-        k = min(m, n_rows - m)
-        traj[m: m + k] = traj[:k] @ g_pow.T + c
+        if m > h and n_rows - m > h:
+            power = power @ power
+            h = m
+        k = min(h, n_rows - m)
+        np.matmul(traj[m - h: m - h + k], power, out=traj[m: m + k])
         m += k
-        if m < n_rows:
-            c = g_pow @ c + c
-            g_pow = g_pow @ g_pow
+    traj = traj[:, :r]
     return traj, QoiVector(traj[1:] @ rm.red_output, dt)
 
 
@@ -246,24 +279,28 @@ def estimate(
     `riesz_sqrt`, [R_load (Q rows), R_M (r rows), R_1 .. R_Q (r rows each)]
     for [b_1 .. b_Q, M Phi, A_1 Phi .. A_Q Phi]:
 
-        mapped^n = theta . R_load - (a^n - a^{n-1})/dt R_M - a^n R_theta,
+        mapped^n = theta . R_load - (a^n - a^{n-1}) R_M/dt - a^n R_theta,
 
-    with R_theta = sum_q theta_q R_q formed once per mu, and its dual norm
-    is the Euclidean norm of the row.  Online cost O(n_steps * 2r * q) in
-    two products, q the column count of `riesz_sqrt` (the rank of the
-    residual representers, 47 at r = 36 on the desk config).
+    and its dual norm is the Euclidean norm of the row.  R_M/dt and
+    R_theta = sum_q theta_q R_q come from one product with `riesz_ops`.  The
+    difference is formed in a C-ordered copy of the trajectory (`solve_rb`
+    returns a strided view, over which NumPy would loop row by row), and the
+    two terms are two products on contiguous operands; the bits do not
+    depend on the trajectory's layout.  Online cost O(n_steps * 2r * q), q
+    the column count of `riesz_sqrt` (the rank of the residual
+    representers, 46 at r = 36 on the desk config).
     """
     r = rm.dim
     dt = grid.dt
     th = theta(mu)
 
-    rq = rm.riesz_sqrt
-    n_terms = len(rm.red_loads)
-    r_blocks = rq[n_terms + r:].reshape(n_terms, r, rq.shape[1])
-    a_now = reduced_traj[1:]
-    mapped = (a_now - reduced_traj[:-1]) / dt @ rq[n_terms: n_terms + r]
-    mapped += a_now @ affine(th, r_blocks)
-    np.subtract(np.asarray(th) @ rq[:n_terms], mapped, out=mapped)
+    traj = np.ascontiguousarray(reduced_traj)
+    a_now = traj[1:]
+    weights = np.array([[1.0 / dt, 0.0, 0.0, 0.0], [0.0, th[0], th[1], th[2]]])
+    r_mass, r_theta = (weights @ rm.riesz_ops).reshape(2, r, rm.riesz_loads.shape[1])
+    mapped = np.subtract(a_now, traj[:-1]) @ r_mass
+    mapped += a_now @ r_theta
+    np.subtract(np.asarray(th) @ rm.riesz_loads, mapped, out=mapped)
     sq = np.einsum("ni,ni->n", mapped, mapped)
     residual_norms = np.sqrt(sq)
 
@@ -279,7 +316,7 @@ def estimate(
 CONTAINMENT_RTOL = 1e-7
 
 
-def _projection_error(snapshots: np.ndarray, phi: np.ndarray, ip):
+def _projection_error(snapshots: np.ndarray, phi: np.ndarray, factor: IpFactor):
     """The H-orthogonal projection error of the snapshots onto span(phi), its
     energy and the snapshots' energy (squared H-norms summed over columns).
 
@@ -287,7 +324,6 @@ def _projection_error(snapshots: np.ndarray, phi: np.ndarray, ip):
     projection is two dense products.  The error keeps the snapshots'
     Fortran order, the one the POD's coordinates take.
     """
-    factor = IpFactor.of(ip)
     y = factor.coords(snapshots)
     phi_y = factor.coords(phi)
     coeffs = phi_y.T @ y
@@ -309,19 +345,21 @@ def enrich(
     signals that the trajectory is already contained in the span and lets the
     caller detect stagnation.  The union basis is reorthonormalized with
     `h_orthonormalize`, old modes first, so the old span is preserved exactly.
-    One POD serves every trajectory length.
+    One POD serves every trajectory length; ip is factored once per operator
+    set (`FomOperators.ip_factor`) and that factor is passed down.
     """
     snapshots = fom_traj.coeffs.T
     phi = rm.basis.modes
-    err, total, traj_energy = _projection_error(snapshots, phi, ops.ip)
+    factor = ops.ip_factor
+    err, total, traj_energy = _projection_error(snapshots, phi, factor)
     if total <= CONTAINMENT_RTOL**2 * traj_energy:
         return rm, 0
 
-    new = pod(err, ops.ip, rank=max_modes, energy_tol=energy_tol)
+    new = pod(err, factor, rank=max_modes, energy_tol=energy_tol)
     if new.dim == 0:
         return rm, 0
 
-    union, _ = h_orthonormalize(np.hstack([phi, new.modes]), ops.ip, drop_tol=1e-10)
+    union, _ = h_orthonormalize(np.hstack([phi, new.modes]), factor, drop_tol=1e-10)
     added = union.shape[1] - rm.dim
     if added <= 0:
         return rm, 0

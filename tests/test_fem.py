@@ -19,7 +19,7 @@ from hiermor import (
     qoi_norm,
     solve_fom,
 )
-from hiermor.fem import load_vector, system_matrix, theta
+from hiermor.fem import IpFactor, load_vector, system_matrix, theta
 
 import mms
 
@@ -92,6 +92,18 @@ def test_affine_assembly_matches_direct():
     th = theta(mu)
     direct = (th[0] * ops.blocks[0] + th[1] * ops.blocks[1] + th[2] * ops.blocks[2]).toarray()
     assert np.allclose(system_matrix(ops, mu).toarray(), direct, rtol=0, atol=0)
+
+
+def test_ip_factor_is_factored_once_per_operator_set():
+    ops = assemble(MeshSpec(16))
+    factor = ops.ip_factor
+    assert ops.ip_factor is factor
+    fresh = IpFactor.of(ops.ip)
+    assert np.array_equal(factor.root_d, fresh.root_d) and np.array_equal(factor.sub, fresh.sub)
+    # a replaced ip is factored anew, not read from the original's cache
+    scaled = dataclasses.replace(ops, ip=(4.0 * ops.ip).tocsr())
+    assert np.array_equal(scaled.ip_factor.root_d, 2.0 * factor.root_d)
+    assert np.array_equal(scaled.ip_factor.sub, factor.sub)
 
 
 def test_mesh_and_grid_validation():

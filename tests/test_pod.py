@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hiermor import ParameterPoint, pod, hapod, solve_fom
-from hiermor.pod import h_orthonormalize
+from hiermor.fem import IpFactor
+from hiermor.pod import PodBasis, h_orthonormalize
 
 
 def h_matrix(ops):
@@ -178,6 +179,20 @@ IP_USERS = {
     "hapod": lambda v, ip: hapod([v], ip),
     "h_orthonormalize": lambda v, ip: h_orthonormalize(v, ip),
 }
+
+
+@pytest.mark.parametrize("call", IP_USERS.values(), ids=IP_USERS.keys())
+def test_ip_factor_gives_the_matrix_bits(small_problem, call):
+    ops, _ = small_problem
+    v = np.random.default_rng(43).standard_normal((ops.n_dofs, 5))
+
+    def bits(result):
+        if isinstance(result, PodBasis):
+            return result.modes.tobytes(), result.singular_values.tobytes()
+        q, kept = result
+        return q.tobytes(), kept
+
+    assert bits(call(v, IpFactor.of(ops.ip))) == bits(call(v, ops.ip))
 
 
 @pytest.mark.parametrize("call", IP_USERS.values(), ids=IP_USERS.keys())

@@ -6,10 +6,13 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpttrf
 
 from hiermor import (
     MeshSpec,
+    ParameterBox,
     ParameterPoint,
     PodBasis,
     QoiVector,
@@ -328,6 +331,21 @@ def test_bound_floor_matches_stepping_reference():
     assert min(floor_checked) < 1e-8
 
 
+def assert_estimate_matches_weights_reference(rm, mu, rtraj, grid, new):
+    """`new` against `weights_estimate` on the same trajectory; returns the reference delta_rb."""
+    ref = weights_estimate(rm, mu, rtraj, grid)
+    rel = abs(new.delta_rb - ref.delta_rb) / ref.delta_rb
+    if ref.delta_rb >= 1e-8:
+        assert rel <= 1e-7
+    elif ref.delta_rb >= 1e-10:
+        assert rel <= 1e-3
+    # both map the same residual: they differ by roundoff in its largest
+    # term, the load (the r = 0 residual)
+    load = np.linalg.norm(np.asarray(theta(mu)) @ rm.riesz_sqrt[:3])
+    assert np.abs(new.residual_norms - ref.residual_norms).max() <= 1e-13 * load
+    return ref.delta_rb
+
+
 @pytest.mark.parametrize("nonzero_c0", [False, True])
 def test_estimate_matches_weights_reference(nonzero_c0):
     # The empty basis, then bases enriched with one and two FOM trajectories,
@@ -346,19 +364,58 @@ def test_estimate_matches_weights_reference(nonzero_c0):
             rm, _ = enrich(rm, traj, ops, energy_tol=1e-10, max_modes=100)
         for mu in mus:
             rtraj, _ = solve_rb(rm, mu, grid)
-            ref, new = weights_estimate(rm, mu, rtraj, grid), estimate(rm, mu, rtraj, grid)
-            rel = abs(new.delta_rb - ref.delta_rb) / ref.delta_rb
-            if ref.delta_rb >= 1e-8:
-                assert rel <= 1e-7
-            elif ref.delta_rb >= 1e-10:
-                assert rel <= 1e-3
-            # both map the same residual: they differ by roundoff in its
-            # largest term, the load (the r = 0 residual)
-            load = np.linalg.norm(np.asarray(theta(mu)) @ rm.riesz_sqrt[:3])
-            assert np.abs(new.residual_norms - ref.residual_norms).max() <= 1e-13 * load
-            checked.append((rm.dim, ref.delta_rb))
+            ref = assert_estimate_matches_weights_reference(
+                rm, mu, rtraj, grid, estimate(rm, mu, rtraj, grid))
+            checked.append((rm.dim, ref))
     assert min(r for r, _ in checked) == 0
     assert min(d for _, d in checked) < 1e-8
+
+
+def same_bound(a, b):
+    return a.delta_rb == b.delta_rb and np.array_equal(a.residual_norms, b.residual_norms)
+
+
+BOX = ParameterBox()
+PARAMETERS = st.one_of(
+    st.sampled_from(BOX.corners()),
+    st.builds(ParameterPoint, st.floats(BOX.da_min, BOX.da_max), st.floats(BOX.pe_min, BOX.pe_max)),
+)
+
+
+@settings(derandomize=True)
+@given(r=st.sampled_from([0, 1, 2, 7]), seed=st.integers(0, 2**16), c0_row=st.sampled_from([0, 5, 16]),
+       n_steps=st.sampled_from([1, 2, 3, 255, 256]), mu=PARAMETERS)
+def test_online_tier_property(small_problem, reference_trajectory, r, seed, c0_row, n_steps, mu):
+    # c0_row = 0 is the zero initial state; later rows of a FOM trajectory
+    # give a nonzero red_init and init_error
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    grid = TimeGrid(1.0, n_steps)
+    c0 = traj.coeffs[c0_row]
+    rm = project(ops, random_basis(ops, r, seed) if r else empty_basis(ops.n_dofs), c0)
+
+    rtraj, qoi = solve_rb(rm, mu, grid)
+    ref = stepping_solve_rb(rm, mu, grid)
+    assert rtraj.shape == ref.shape == (n_steps + 1, r)
+    assert np.abs(rtraj - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+    assert np.array_equal(qoi.values, rtraj[1:] @ rm.red_output)
+
+    bound = estimate(rm, mu, rtraj, grid)
+    assert_estimate_matches_weights_reference(rm, mu, rtraj, grid, bound)
+    # the same values in a strided view, C order and Fortran order give the same bits
+    wide = np.zeros((n_steps + 1, r + 3))
+    wide[:, 1: r + 1] = rtraj
+    for layout in (wide[:, 1: r + 1], np.ascontiguousarray(rtraj), np.asfortranarray(rtraj)):
+        assert same_bound(estimate(rm, mu, layout, grid), bound)
+
+    # replace() refreshes the derived operands: a model of another basis given
+    # rm's fields solves and estimates like rm
+    fields = {f.name: getattr(rm, f.name) for f in dataclasses.fields(rm) if f.init}
+    other = project(ops, random_basis(ops, 3, seed + 1), np.zeros(ops.n_dofs))
+    replaced = dataclasses.replace(other, **fields)
+    rtraj2, qoi2 = solve_rb(replaced, mu, grid)
+    assert np.array_equal(rtraj2, rtraj) and np.array_equal(qoi2.values, qoi.values)
+    assert same_bound(estimate(replaced, mu, rtraj2, grid), bound)
 
 
 # -- coercivity --------------------------------------------------------------------
