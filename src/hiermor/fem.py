@@ -184,16 +184,6 @@ class FomOperators:
             self._ip_factor = IpFactor.of(self.ip)
         return self._ip_factor
 
-    def ip_half_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Y = D^-1/2 L^-1 rhs for ip = L D L^T (`ip_factor`), rhs (n_dofs, m).
-
-        Y^T Y = rhs^T ip^-1 rhs, so each column's Euclidean norm is its dual
-        norm and Gramians of Riesz representers are Gramians of Y, with no
-        full solve and no squared Gram matrix."""
-        factor = self.ip_factor
-        band = np.vstack([np.ones(self.n_dofs), np.append(factor.sub, 0.0)])
-        return dtbtrs(band, rhs, uplo="L", diag="U")[0] / factor.root_d[:, None]
-
 
 def tridiagonal(mat) -> tuple[np.ndarray, np.ndarray]:
     """Main and first off-diagonal of a symmetric tridiagonal matrix, sparse or
@@ -240,10 +230,23 @@ class IpFactor:
 
     def from_coords(self, y: np.ndarray) -> np.ndarray:
         """X = L^-T D^-1/2 Y, the inverse of `coords`, C-ordered."""
-        if y.shape[1] == 0:  # scipy's TBTRS wrapper corrupts the heap given no columns
-            return np.zeros(y.shape)
-        band = np.vstack([np.append(0.0, self.sub), np.ones(self.root_d.size)])
-        return np.ascontiguousarray(dtbtrs(band, y / self.root_d[:, None], uplo="U", diag="U")[0])
+        return np.ascontiguousarray(self._solve(y / self.root_d[:, None], "U"))
+
+    def half_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Y = D^-1/2 L^-1 rhs for an (n, m) rhs.
+
+        Y^T Y = rhs^T ip^-1 rhs, so each column's Euclidean norm is its dual
+        norm and Gramians of Riesz representers are Gramians of Y, with no
+        full solve and no squared Gram matrix."""
+        return self._solve(rhs, "L") / self.root_d[:, None]
+
+    def _solve(self, rhs: np.ndarray, uplo: str) -> np.ndarray:
+        """L^-1 rhs ("L") or L^-T rhs ("U") by one banded LAPACK TBTRS."""
+        if rhs.shape[1] == 0:  # scipy's TBTRS wrapper corrupts the heap given no columns
+            return np.zeros(rhs.shape)
+        ones, sub = np.ones(self.root_d.size), np.append(self.sub, 0.0)
+        band = np.vstack([ones, sub] if uplo == "L" else [np.roll(sub, 1), ones])
+        return dtbtrs(band, rhs, uplo=uplo, diag="U")[0]
 
 
 def theta(mu: ParameterPoint) -> tuple[float, float, float]:

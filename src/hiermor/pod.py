@@ -4,14 +4,17 @@ All decompositions are taken in the inner product of a supplied symmetric
 positive definite tridiagonal matrix H, in the coordinates of its factor:
 with H = L D L^T, Y = D^1/2 L^T S has Y^T Y = S^T H S, so the H geometry of
 the snapshots S is the Euclidean geometry of Y, which is decomposed without
-squaring it, and modes come back through one bidiagonal solve.  No object of
-size n_dofs x n_dofs is ever formed.  Returned modes are H-orthonormal and
-deterministically signed (first significant entry of each mode is positive).
+squaring it.  Each call maps into them once and out once, by one bidiagonal
+solve (HAPOD's stages stay inside); `ip=None` maps nothing, so `rb.enrich`
+passes coordinates it holds.  No object of size n_dofs x n_dofs is ever
+formed.  Returned modes are H-orthonormal and deterministically signed
+(first significant entry of each mode is positive).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as la
@@ -41,16 +44,16 @@ class PodBasis:
         return self.modes.shape[1]
 
 
-def _factor(ip, n: int) -> IpFactor:
-    """The factor of the inner product matrix; None stands for the identity,
-    and a given factor is used as it is."""
+# The map of ip=None: coordinates are the vectors themselves, in the Fortran
+# order `IpFactor.coords` gives, so bits do not depend on the input's layout.
+_EUCLIDEAN = SimpleNamespace(coords=np.asfortranarray, from_coords=lambda y: y)
+
+
+def _factor(ip):
+    """The factor of the inner product matrix; a given factor is used as it is."""
     if ip is None:
-        return IpFactor(np.ones(n), np.zeros(max(n - 1, 0)))
+        return _EUCLIDEAN
     return ip if isinstance(ip, IpFactor) else IpFactor.of(ip)
-
-
-def _empty_basis(n: int) -> PodBasis:
-    return PodBasis(np.zeros((n, 0)), np.zeros(0))
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:
@@ -65,6 +68,11 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
+def _mapped_out(factor, u: np.ndarray, sigma: np.ndarray) -> PodBasis:
+    """The basis of coordinate modes u, mapped out and signed."""
+    return PodBasis(_fix_signs(factor.from_coords(u)), sigma)
+
+
 def h_orthonormalize(
     vectors: np.ndarray, ip, drop_tol: float = 1e-10
 ) -> tuple[np.ndarray, list[int]]:
@@ -77,7 +85,7 @@ def h_orthonormalize(
     kept columns, and leading H-orthonormal columns return unchanged to roundoff.
     Returns the basis and the indices of the kept columns; `ip` is as for `pod`.
     """
-    factor = _factor(ip, vectors.shape[0])
+    factor = _factor(ip)
     y = factor.coords(vectors)
     q, r = la.qr(y, mode="economic")
     reach = np.abs(np.diag(r))
@@ -104,16 +112,16 @@ def _truncation_rank(sigma: np.ndarray, resid_sq: float, rank: int | None,
     return r if rank is None else min(r, rank)
 
 
-def _pod_impl(snapshots: np.ndarray, factor: IpFactor, rank: int | None,
-              energy_tol: float | None, abs_tail: float | None) -> PodBasis:
-    """Randomized range finder on Y = D^1/2 L^T S (Halko, Martinsson & Tropp,
-    Alg. 4.4 with one power iteration), then the SVD of the small block
-    B = Q^T Y.  The truncation reads the exact tail ||Y - Q B||_F^2 +
+def _pod_impl(y: np.ndarray, rank: int | None, energy_tol: float | None,
+              abs_tail: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values of the Fortran-ordered
+    coordinates Y, truncated: a randomized range finder (Halko, Martinsson &
+    Tropp, Alg. 4.4 with one power iteration), then the SVD of the small
+    block B = Q^T Y.  The truncation reads the exact tail ||Y - Q B||_F^2 +
     sum_{i>r} sigma_i^2, so the energy rule holds a posteriori."""
-    n, m = snapshots.shape
+    n, m = y.shape
     if m == 0:
-        return _empty_basis(n)
-    y = factor.coords(snapshots)
+        return np.zeros((n, 0)), np.zeros(0)
     width = min(n, m) if rank is None else min(n, m, rank + OVERSAMPLING)
     sketch = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
     q = la.qr(y @ sketch, mode="economic")[0]
@@ -123,9 +131,7 @@ def _pod_impl(snapshots: np.ndarray, factor: IpFactor, rank: int | None,
     resid = y.T - b.T @ q.T  # in Y's order: a mixed-order difference is a slow transpose
     r = _truncation_rank(sigma, float(np.einsum("ij,ij->", resid, resid)),
                          rank, energy_tol, abs_tail)
-    if r == 0:
-        return _empty_basis(n)
-    return PodBasis(_fix_signs(factor.from_coords(q @ u[:, :r])), sigma[:r])
+    return q @ u[:, :r], sigma[:r]
 
 
 def pod(
@@ -141,19 +147,21 @@ def pod(
     tail including what the sketch of width rank + OVERSAMPLING left out.
     Both may be combined (the stricter wins); modes with sigma below the
     numerical rank cutoff are always discarded.  A zero snapshot matrix
-    yields an empty basis.  The result depends only on the snapshots' values,
-    not on their memory layout or any random state.
+    yields an empty basis.  The snapshots are mapped into the coordinates of
+    ip's factor once and the modes back once.  The result depends only on
+    the snapshots' values, not on their memory layout or any random state.
 
     Parameters
     ----------
     snapshots : (n_dofs, m) ndarray, one snapshot per column.
     ip : symmetric positive definite tridiagonal inner product matrix
         (sparse or dense), or its `IpFactor` (as `FomOperators.ip_factor`
-        caches it); None means identity.  Any other matrix raises
-        ValueError.
+        caches it); None means identity, and nothing is mapped.  Any other
+        matrix raises ValueError.
     """
-    snapshots = np.asarray(snapshots, dtype=float)
-    return _pod_impl(snapshots, _factor(ip, snapshots.shape[0]), rank, energy_tol, None)
+    factor = _factor(ip)
+    y = factor.coords(np.asarray(snapshots, dtype=float))
+    return _mapped_out(factor, *_pod_impl(y, rank, energy_tol, None))
 
 
 def hapod(
@@ -166,10 +174,11 @@ def hapod(
 
     Chunks are processed in order; at each stage the previous modes, scaled by
     their singular values, are concatenated with the next chunk and compressed
-    again.  Stage i < last truncates with absolute squared-error allowance
-    (omega * eps_star)^2 * m_i (where m_i is the chunk size); the last stage
-    acts as the final compression with allowance
-    (1 - omega^2) * eps_star^2 * m_total.  Summing the allowances bounds the
+    again, all in the coordinates of ip's factor: each chunk is mapped in
+    once, and only the last stage's modes are mapped out.  Stage i < last
+    truncates with absolute squared-error allowance (omega * eps_star)^2 * m_i
+    (m_i the chunk size); the last stage acts as the final compression with
+    allowance (1 - omega^2) * eps_star^2 * m_total.  Summing the allowances bounds the
     mean squared H-projection error of the full snapshot set onto the returned
     basis by eps_star^2 per snapshot (Himpe, Leibner & Rave 2018).
 
@@ -186,23 +195,15 @@ def hapod(
         raise ValueError("eps_star must be positive")
     chunks = [np.asarray(c, dtype=float) for c in chunks]
     if not chunks:
-        return _empty_basis(0)
-    n = chunks[0].shape[0]
-    factor = _factor(ip, n)
+        return PodBasis(np.zeros((0, 0)), np.zeros(0))
+    factor = _factor(ip)
     m_total = sum(c.shape[1] for c in chunks)
-    if m_total == 0:
-        return _empty_basis(n)
-
-    basis = _empty_basis(n)
+    u, sigma = np.zeros((chunks[0].shape[0], 0)), np.zeros(0)
     for i, chunk in enumerate(chunks):
-        last = i == len(chunks) - 1
-        if basis.dim:
-            stacked = np.hstack([basis.modes * basis.singular_values, chunk])
-        else:
-            stacked = chunk
-        if last:
+        if i == len(chunks) - 1:
             allow = (1.0 - omega**2) * eps_star**2 * m_total
         else:
             allow = (omega * eps_star) ** 2 * chunk.shape[1]
-        basis = _pod_impl(stacked, factor, None, None, allow)
-    return basis
+        stacked = np.asfortranarray(np.hstack([u * sigma, factor.coords(chunk)]))
+        u, sigma = _pod_impl(stacked, None, None, allow)
+    return _mapped_out(factor, u, sigma)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dgesv, dpttrf
 
-from .fem import (FomOperators, IpFactor, ParameterPoint, QoiVector, TimeGrid, Trajectory, affine,
+from .fem import (FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory, affine,
                   theta, tridiagonal)
 # `hapod` is not called here; the benchmark's span table looks it up in this module.
 from .pod import PodBasis, h_orthonormalize, hapod, pod  # noqa: F401
@@ -188,8 +188,10 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
     Cost is O(n_dofs * r^2) and pays once per enrichment, never per query:
     the residual components are mapped by one bidiagonal half-solve with the
     Cholesky factor of ip, and only a factor of their Riesz Gramian is kept.
+    The initial-state terms are Euclidean in the coordinates of that factor.
     """
     phi = basis.modes
+    factor = ops.ip_factor
 
     applied = [mat @ phi for mat in (ops.mass, *ops.blocks)]
     red_mass, *red_blocks = (phi.T @ a for a in applied)
@@ -198,14 +200,14 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
     # ip = L D L^T, Y = D^-1/2 L^-1 C has Gramian Y^T Y = C^T ip^-1 C, the
     # representers' Gramian, never formed: contracting it with w would cancel
     # once the residual is small.  The factor is R^T of a pivoted QR of Y.
-    y = ops.ip_half_solve(components)
+    y = factor.half_solve(components)
     c_s = float(np.linalg.norm(y[:, -1]))
     riesz_sqrt = _riesz_factor(y[:, :-1])
     gamma_diff, gamma_react = coercivity_constants(ops)
 
-    red_init = phi.T @ (ops.ip @ c0)
-    residual0 = c0 - phi @ red_init
-    init_error = math.sqrt(max(float(residual0 @ (ops.ip @ residual0)), 0.0))
+    init = factor.coords(np.column_stack([c0, phi]))
+    red_init = init[:, 1:].T @ init[:, 0]
+    init_error = float(np.linalg.norm(init[:, 0] - init[:, 1:] @ red_init))
 
     return ReducedModel(
         basis=basis,
@@ -316,22 +318,6 @@ def estimate(
 CONTAINMENT_RTOL = 1e-7
 
 
-def _projection_error(snapshots: np.ndarray, phi: np.ndarray, factor: IpFactor):
-    """The H-orthogonal projection error of the snapshots onto span(phi), its
-    energy and the snapshots' energy (squared H-norms summed over columns).
-
-    Both energies are Euclidean in the coordinates of ip's factor, where the
-    projection is two dense products.  The error keeps the snapshots'
-    Fortran order, the one the POD's coordinates take.
-    """
-    y = factor.coords(snapshots)
-    phi_y = factor.coords(phi)
-    coeffs = phi_y.T @ y
-    err = (snapshots.T - coeffs.T @ phi.T).T
-    resid = y.T - coeffs.T @ phi_y.T
-    return err, float(np.einsum("ij,ij->", resid, resid)), float(np.einsum("ij,ij->", y, y))
-
-
 def enrich(
     rm: ReducedModel,
     fom_traj: Trajectory,
@@ -343,25 +329,29 @@ def enrich(
 
     Returns the rebuilt model and the number of modes added; zero added modes
     signals that the trajectory is already contained in the span and lets the
-    caller detect stagnation.  The union basis is reorthonormalized with
-    `h_orthonormalize`, old modes first, so the old span is preserved exactly.
-    One POD serves every trajectory length; ip is factored once per operator
-    set (`FomOperators.ip_factor`) and that factor is passed down.
+    caller detect stagnation.  Everything happens in the coordinates
+    Y = D^1/2 L^T X of ip's cached factor (`FomOperators.ip_factor`), where
+    the H inner product is the Euclidean one: the trajectory and the basis
+    are mapped in once each, the error Y - Phi_Y (Phi_Y^T Y) is formed there
+    in Y's order, and the containment test and the POD (`pod` without `ip`)
+    read that one array.  The union [Phi_Y, new modes] is reorthonormalized
+    with `h_orthonormalize`, old modes first, so the old span is preserved
+    exactly, and mapped out once.  One POD serves every trajectory length.
     """
-    snapshots = fom_traj.coeffs.T
-    phi = rm.basis.modes
     factor = ops.ip_factor
-    err, total, traj_energy = _projection_error(snapshots, phi, factor)
-    if total <= CONTAINMENT_RTOL**2 * traj_energy:
+    y = factor.coords(fom_traj.coeffs.T)
+    phi_y = factor.coords(rm.basis.modes)
+    err_t = y.T - (phi_y.T @ y).T @ phi_y.T  # transposed, so the error keeps Y's order
+    if np.einsum("ij,ij->", err_t, err_t) <= CONTAINMENT_RTOL**2 * np.einsum("ij,ij->", y, y):
         return rm, 0
 
-    new = pod(err, factor, rank=max_modes, energy_tol=energy_tol)
+    new = pod(err_t.T, rank=max_modes, energy_tol=energy_tol)
     if new.dim == 0:
         return rm, 0
 
-    union, _ = h_orthonormalize(np.hstack([phi, new.modes]), factor, drop_tol=1e-10)
+    union, _ = h_orthonormalize(np.hstack([phi_y, new.modes]), None)
     added = union.shape[1] - rm.dim
     if added <= 0:
         return rm, 0
-    basis = PodBasis(union, np.ones(union.shape[1]))
+    basis = PodBasis(factor.from_coords(union), np.ones(union.shape[1]))
     return project(ops, basis, rm.init_state), added

@@ -161,6 +161,10 @@ def test_pod_depends_only_on_values(small_problem, reference_trajectory):
     assert basis.dim > 0
     assert _same_bits(basis, pod(np.ascontiguousarray(snapshots), ops.ip, rank=25, energy_tol=1e-6))
     assert _same_bits(basis, pod(snapshots, ops.ip.toarray(), rank=25, energy_tol=1e-6))
+    euclidean = pod(snapshots, None, rank=25, energy_tol=1e-6)
+    assert euclidean.dim > 0
+    assert _same_bits(euclidean, pod(np.ascontiguousarray(snapshots), None, rank=25,
+                                     energy_tol=1e-6))
 
 
 def test_pod_ignores_other_random_state(small_problem, reference_trajectory):
@@ -177,6 +181,7 @@ def test_pod_ignores_other_random_state(small_problem, reference_trajectory):
 IP_USERS = {
     "pod": lambda v, ip: pod(v, ip),
     "hapod": lambda v, ip: hapod([v], ip),
+    "hapod-two-chunks": lambda v, ip: hapod([v[:, :3], v[:, 3:]], ip),
     "h_orthonormalize": lambda v, ip: h_orthonormalize(v, ip),
 }
 
@@ -287,6 +292,15 @@ def test_hapod_trajectory_bound_and_rank(small_problem):
     tail = np.concatenate([[sq.sum()], sq.sum() - np.cumsum(sq)])
     direct_rank = int(np.argmax(tail <= budget))
     assert hier.dim <= direct_rank + 2
+
+
+def test_hapod_maps_each_chunk_in_once_and_the_modes_out_once(reference_trajectory,
+                                                               small_problem, factor_maps):
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    basis = hapod(np.array_split(traj.coeffs.T, 8, axis=1), ops.ip)
+    assert basis.dim > 0
+    assert factor_maps == {"coords": 8, "from_coords": 1}
 
 
 def test_hapod_empty_chunks():

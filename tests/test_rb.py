@@ -560,6 +560,28 @@ def test_enrich_long_trajectory_matches_hapod_rank():
     assert abs(added - min(hier.dim, max_modes)) <= 2
 
 
+@pytest.mark.parametrize("r", [0, 3])
+def test_enrich_maps_into_coordinates_twice_and_out_once(small_problem, reference_trajectory,
+                                                        monkeypatch, factor_maps, r):
+    # The trajectory and the basis go in and the union comes out; the maps of
+    # the `project` that builds the new model are counted as its own.
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    basis = random_basis(ops, r, seed=9) if r else empty_basis(ops.n_dofs)
+    rm0 = project(ops, basis, np.zeros(ops.n_dofs))
+    at_project = []
+
+    def recording_project(*args):
+        at_project.append(dict(factor_maps))
+        return project(*args)
+
+    monkeypatch.setattr(rb_mod, "project", recording_project)
+    factor_maps.clear()
+    _, added = enrich(rm0, traj, ops)
+    assert added > 0
+    assert at_project == [{"coords": 2, "from_coords": 1}]
+
+
 @pytest.mark.parametrize("max_modes", [5, 25], ids=["sketch-narrower", "energy-rule"])
 @pytest.mark.parametrize("r", [0, 3])
 def test_enrich_matches_dense_oracle(small_problem, reference_trajectory, monkeypatch, r,
@@ -595,10 +617,12 @@ def test_enrich_matches_dense_oracle(small_problem, reference_trajectory, monkey
     def h_residual(x, q):
         return x - q @ (q.T @ (h @ x))
 
+    # enrich decomposes in the coordinates of ip's factor; map the modes back
+    new_modes = ops.ip_factor.from_coords(new.modes)
     oracle = la.solve_triangular(chol.T, u[:, :k])
     union = rm1.basis.modes
-    assert np.abs(h_residual(oracle, new.modes)).max() < 1e-9
-    assert np.abs(h_residual(new.modes, oracle)).max() < 1e-9
+    assert np.abs(h_residual(oracle, new_modes)).max() < 1e-9
+    assert np.abs(h_residual(new_modes, oracle)).max() < 1e-9
     assert np.abs(h_residual(oracle, union)).max() < 1e-9
     # the error left after enrichment is the oracle's tail
     left = h_residual(err, union)
