@@ -16,14 +16,16 @@ all stored matrices and vectors stay parameter independent:
 
     A(mu) = sum_q theta_q(mu) A_q,  b(mu) = sum_q theta_q(mu) b_q,  theta(mu) = (1/pe, 1, da).
 
-Every operator is tridiagonal, so the time stepping and the H inner product
-solves call the LAPACK tridiagonal routines on the matrices' diagonals.
+Every operator is tridiagonal, so the time stepping, the H inner product
+solves and the coercivity constants call the LAPACK tridiagonal routines on
+the matrices' diagonals; this module alone knows that format.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
     "theta",
     "affine",
     "tridiagonal",
+    "coercivity_constants",
 ]
 
 
@@ -163,8 +166,9 @@ class FomOperators:
     inner product mass + diffusion used for all orthogonality and dual norms.
 
     Treated as immutable after assembly (solvers for distinct parameters may
-    share one instance); the cached coercivity constants and the factor of
-    ip are computed lazily on first use.
+    share one instance).  `ip_factor` and `coercivity` are computed on first
+    use and cached on the instance; a `dataclasses.replace`d set computes
+    its own.
     """
 
     mass: sp.csr_matrix
@@ -174,15 +178,17 @@ class FomOperators:
     ip: sp.csr_matrix
     n_dofs: int
     inflow_value: float
-    _coercivity: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _ip_factor: IpFactor | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def ip_factor(self) -> IpFactor:
         """`IpFactor.of(ip)`, factored once per operator set."""
-        if self._ip_factor is None:
-            self._ip_factor = IpFactor.of(self.ip)
-        return self._ip_factor
+        return IpFactor.of(self.ip)
+
+    @cached_property
+    def coercivity(self) -> tuple[float, float]:
+        """The pair `coercivity_constants` returns, computed once per operator set."""
+        diffusion, _, reaction = self.blocks
+        return _pencil_min_eig(diffusion, self.ip), _pencil_min_eig(reaction, self.ip)
 
 
 def tridiagonal(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -247,6 +253,37 @@ class IpFactor:
         ones, sub = np.ones(self.root_d.size), np.append(self.sub, 0.0)
         band = np.vstack([ones, sub] if uplo == "L" else [np.roll(sub, 1), ones])
         return dtbtrs(band, rhs, uplo=uplo, diag="U")[0]
+
+
+def _pencil_min_eig(a, b) -> float:
+    """Largest s found by bisection at which a - s b (b SPD) factors by Cholesky."""
+    ad, ae = tridiagonal(a)
+    bd, be = tridiagonal(b)
+    if dpttrf(ad, ae)[2] != 0:
+        raise ValueError("operator is not positive definite; 0 is no coercivity bound")
+    lo, hi = 0.0, float(np.min(ad / bd))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if dpttrf(ad - mid * bd, ae - mid * be)[2] == 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
+    """Minimal generalized eigenvalues of the diffusion and reaction blocks against ip.
+
+    Computed once per operator set and cached on it (`FomOperators.coercivity`).
+    By Sylvester's law of inertia, a - s ip is positive definite exactly
+    below the pencil's minimal eigenvalue.  Bisection brackets it in
+    [0, min_i a_ii / ip_ii] (0 once a itself factors; a unit vector's
+    Rayleigh quotient is at or above the minimum) and tests each midpoint
+    with one O(n_dofs) tridiagonal Cholesky factorization (LAPACK PTTRF),
+    O(n_dofs log(1/eps)) in all.  The value is the bracket's lower end, at
+    which the factorization succeeded.  Raises ValueError for an operator
+    that is not symmetric tridiagonal or not positive definite.
+    """
+    return ops.coercivity
 
 
 def theta(mu: ParameterPoint) -> tuple[float, float, float]:

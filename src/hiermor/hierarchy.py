@@ -10,8 +10,8 @@ Every query walks the same decision ladder:
    with the new trajectory, harvest the FOM answer as a training pair, and
    return it.
 
-A refit of the kernel model from scratch falls due whenever the training
-set has grown by `retrain_every` points since the last one fell due.  The
+A refit of the kernel model from scratch falls due whenever a harvest
+grows the training set to a multiple of `retrain_every` points.  The
 controller keeps that training set and fits it the first time something
 reads the surrogate, so a refit that a later one replaces unread costs
 nothing; the fit is deterministic, so every answer is the one an eager fit
@@ -87,6 +87,10 @@ class HierarchyConfig:
                              f"got {self.trust_mode!r}")
         if self.validation_slack <= 0.0:
             raise ValueError("validation_slack must be positive")
+        if not 0.0 <= self.enrich_energy_tol < 1.0:
+            raise ValueError("enrich_energy_tol must lie in [0, 1)")
+        if self.enrich_max_modes < 1:
+            raise ValueError("enrich_max_modes must be >= 1")
 
 
 @dataclass
@@ -123,10 +127,12 @@ class AdaptiveHierarchy:
     starts from the state the previous one left, so queries run one at a
     time.
 
-    When a refit falls due, the controller keeps the training set instead of
-    a model, and the first read fits it: an ML answer, a certificate, or the
-    `model` property.  So a failing fit surfaces in the query that first
-    reads the model, and `counters["fits"]` counts the fits made.
+    The refit schedule is read off the training-set size, so no other state
+    records it.  When a refit falls due, the controller keeps the training
+    set instead of a model, and the first read fits it: an ML answer, a
+    certificate, or the `model` property.  So a failing fit surfaces in the
+    query that first reads the model, and `counters["fits"]` counts the
+    fits made.
     `rb_answer` only evaluates; `ml_answer` and `certify` write nothing but
     such a fit, committed through `model`.
     """
@@ -153,7 +159,6 @@ class AdaptiveHierarchy:
         self._surrogate: KernelModel | TrainingSet | None = None
         self.counters = dict.fromkeys(
             ("fom_solves", "rb_solves", "ml_predicts", "fits", "stagnated"), 0)
-        self._last_due_size = 0  # training-set size at which the last refit fell due
         self._next_index = 1
         if config.warm_start_corners:
             for corner in box.corners():
@@ -169,7 +174,7 @@ class AdaptiveHierarchy:
         """
         work: dict[str, int] = {}
         model = self._fitted(work)
-        self._commit(work, (self.rm, self.train, model, self._last_due_size))
+        self._commit(work, (self.rm, self.train, model))
         return model
 
     def _fitted(self, work: dict[str, int]) -> KernelModel | None:
@@ -226,7 +231,7 @@ class AdaptiveHierarchy:
                    and len(self.train) >= cfg.trust_threshold)
         if trusted or cfg.trust_mode == "always_validate":
             surrogate = self._fitted(work)
-        learned = (self.rm, self.train, surrogate, self._last_due_size)
+        learned = (self.rm, self.train, surrogate)
 
         if trusted:
             answer, used = self._ml_answer(surrogate, mu), "ML"
@@ -258,14 +263,14 @@ class AdaptiveHierarchy:
 
     def _harvest(self, mu: ParameterPoint, f_rb: QoiVector | None, work: dict[str, int],
                  surrogate: KernelModel | TrainingSet | None):
-        """Answer and (basis, training set, surrogate, last due size) after
-        learning mu; the last due size is the training-set size at which the
-        last refit fell due.
+        """Answer and (basis, training set, surrogate) after learning mu.
 
         `f_rb` None takes the FOM branch.  `surrogate` is the one the query
-        read.  A refit that falls due stores the new training set in its
-        place, unfitted; `_harvest` copies the set before adding, so nothing
-        mutates it later.  Writes nothing but the caller's `work`.
+        read.  A refit falls due when the harvest grows the training set to
+        a multiple of `retrain_every` (a repeated mu replaces its entry and
+        grows nothing); the new training set then takes the surrogate's
+        place, unfitted.  `_harvest` copies the set before adding, so
+        nothing mutates it later.  Writes nothing but the caller's `work`.
         """
         cfg = self.config
         rm, train, answer = self.rm, self.train.copy(), f_rb
@@ -279,16 +284,15 @@ class AdaptiveHierarchy:
                                "returning the FOM answer anyway", mu)
                 work["stagnated"] = 1
         train.add(mu, answer, "RB" if f_rb is not None else "FOM")
-        due_size = self._last_due_size
-        if len(train) - due_size >= cfg.retrain_every:
-            surrogate, due_size = train, len(train)
-        return answer, (rm, train, surrogate, due_size)
+        if len(train) > len(self.train) and len(train) % cfg.retrain_every == 0:
+            surrogate = train
+        return answer, (rm, train, surrogate)
 
     def _commit(self, work: dict[str, int], learned: tuple) -> None:
         """The one place controller state is written: counters, then what was learned."""
         for key, n in work.items():
             self.counters[key] += n
-        self.rm, self.train, self._surrogate, self._last_due_size = learned
+        self.rm, self.train, self._surrogate = learned
 
 
 # -- query log export ---------------------------------------------------------

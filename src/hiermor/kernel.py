@@ -101,42 +101,39 @@ class TrainingEntry:
 
 
 class TrainingSet:
-    """Ordered (mu, QoI, source) collection with unique parameter points.
+    """Ordered (mu, QoI, source) collection with unique parameter points, held
+    in one insertion-ordered dict keyed by mu.
 
     Inserting at an existing mu replaces the stored pair unless that would
     downgrade a FOM-sourced target to an RB-sourced one; the entry keeps its
-    original position either way.
+    original position either way, as assigning to a dict key does.
     """
 
     def __init__(self):
-        self._entries: list[TrainingEntry] = []
-        self._index: dict[ParameterPoint, int] = {}
+        self._entries: dict[ParameterPoint, TrainingEntry] = {}
 
     def add(self, mu: ParameterPoint, qoi: QoiVector, source: str) -> None:
         if source not in ("FOM", "RB"):
             raise ValueError("source must be 'FOM' or 'RB'")
-        pos = self._index.get(mu)
-        if pos is None:
-            self._index[mu] = len(self._entries)
-            self._entries.append(TrainingEntry(mu, qoi, source))
-        elif not (self._entries[pos].source == "FOM" and source == "RB"):
-            self._entries[pos] = TrainingEntry(mu, qoi, source)
+        old = self._entries.get(mu)
+        if old is None or not (old.source == "FOM" and source == "RB"):
+            self._entries[mu] = TrainingEntry(mu, qoi, source)
 
     def copy(self) -> TrainingSet:
         """Independent set holding the same entries (which are immutable)."""
         out = TrainingSet()
-        out._entries, out._index = list(self._entries), dict(self._index)
+        out._entries = dict(self._entries)
         return out
 
     @property
     def entries(self) -> list[TrainingEntry]:
-        return list(self._entries)
+        return list(self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._entries.values())
 
 
 @dataclass
@@ -149,10 +146,10 @@ class KernelModel:
 
     Derived on every construction (`fit`, `load_model`, `dataclasses.replace`),
     so that a prediction normalizes only its mu and does no other set-up:
-    `normalized_centers`, the centers in box-normalized coordinates (k, 2);
-    `center_da` and `center_pe`, its two columns as contiguous arrays;
-    `box_scales`, the box constants of `_box_scales`; and `neg_two_shape_sq`,
-    the divisor -(2 shape^2) of the kernel's exponent.
+    `center_da` and `center_pe`, the two columns of the box-normalized
+    centers (`_normalize`) as contiguous arrays of length k; `box_scales`,
+    the box constants of `_box_scales`; and `neg_two_shape_sq`, the divisor
+    -(2 shape^2) of the kernel's exponent.
     Immutable after fit; concurrent predictions are safe.
     """
 
@@ -161,7 +158,6 @@ class KernelModel:
     coeff_block: np.ndarray
     config: KernelConfig
     dt: float
-    normalized_centers: np.ndarray = field(init=False, repr=False, compare=False)
     center_da: np.ndarray = field(init=False, repr=False, compare=False)
     center_pe: np.ndarray = field(init=False, repr=False, compare=False)
     box_scales: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
@@ -170,8 +166,7 @@ class KernelModel:
     def __post_init__(self):
         box = self.config.box
         mus = np.array([[c.da, c.pe] for c in self.centers]).reshape(-1, 2)
-        self.normalized_centers = _normalize(box, mus)
-        self.center_da, self.center_pe = np.ascontiguousarray(self.normalized_centers.T)
+        self.center_da, self.center_pe = np.ascontiguousarray(_normalize(box, mus).T)
         self.box_scales = _box_scales(box)
         self.neg_two_shape_sq = -(2.0 * self.config.shape**2)
 

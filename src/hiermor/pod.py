@@ -50,21 +50,17 @@ _EUCLIDEAN = SimpleNamespace(coords=np.asfortranarray, from_coords=lambda y: y)
 
 
 def _factor(ip):
-    """The factor of the inner product matrix; a given factor is used as it is."""
-    if ip is None:
-        return _EUCLIDEAN
-    return ip if isinstance(ip, IpFactor) else IpFactor.of(ip)
+    """The factor of the inner product matrix; for None, the identity map."""
+    return _EUCLIDEAN if ip is None else IpFactor.of(ip)
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:
-    for j in range(modes.shape[1]):
-        col = modes[:, j]
-        peak = np.abs(col).max()
-        if peak == 0.0:
-            continue
-        nz = np.flatnonzero(np.abs(col) > RANK_CUTOFF * peak)
-        if nz.size and col[nz[0]] < 0.0:
-            modes[:, j] = -col
+    """Flip, in place, each column whose first entry above RANK_CUTOFF times
+    its peak magnitude is negative; an all-zero column is left as it is."""
+    mags = np.abs(modes)
+    above = mags > RANK_CUTOFF * mags.max(axis=0)
+    first, cols = np.argmax(above, axis=0), np.arange(modes.shape[1])
+    modes[:, above[first, cols] & (modes[first, cols] < 0.0)] *= -1.0
     return modes
 
 
@@ -155,9 +151,8 @@ def pod(
     ----------
     snapshots : (n_dofs, m) ndarray, one snapshot per column.
     ip : symmetric positive definite tridiagonal inner product matrix
-        (sparse or dense), or its `IpFactor` (as `FomOperators.ip_factor`
-        caches it); None means identity, and nothing is mapped.  Any other
-        matrix raises ValueError.
+        (sparse or dense); None means identity, and nothing is mapped.  Any
+        other matrix raises ValueError.
     """
     factor = _factor(ip)
     y = factor.coords(np.asarray(snapshots, dtype=float))

@@ -12,16 +12,12 @@ import math
 
 import numpy as np
 
-from .hierarchy import QueryRecord
+from .hierarchy import QueryRecord, _fmt
 
 __all__ = ["summary_text", "timing_scatter_svg", "BRANCH_COLORS"]
 
 BRANCH_COLORS = {"FOM": "#d62728", "RB": "#1f77b4", "ML": "#2ca02c"}
 BRANCHES = ("FOM", "RB", "ML")
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def summary_text(records: list[QueryRecord]) -> str:

@@ -101,6 +101,25 @@ def test_invalid_semantic_value_reports_line(section, lineno):
     assert err.value.lineno == lineno
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("enrich_max_modes = -1", "enrich_max_modes must be >= 1"),
+        ("enrich_max_modes = 0", "enrich_max_modes must be >= 1"),
+        ("enrich_energy_tol = 2.0", r"enrich_energy_tol must lie in \[0, 1\)"),
+        ("enrich_energy_tol = 1.0", r"enrich_energy_tol must lie in \[0, 1\)"),
+        ("enrich_energy_tol = -1e-6", r"enrich_energy_tol must lie in \[0, 1\)"),
+    ],
+    ids=["max_modes_negative", "max_modes_zero", "energy_tol_above_one", "energy_tol_one",
+         "energy_tol_negative"],
+)
+def test_enrichment_settings_out_of_range_report_line(line, message):
+    text = f"[hierarchy]\nrom_tol = 1e-2\n{line}\n[sweep]\nseed = 1\n"
+    with pytest.raises(ConfigError, match="hierarchy." + message) as err:
+        parse_config(text)
+    assert err.value.lineno == 3
+
+
 def test_missing_seed_for_random_sampler():
     with pytest.raises(ConfigError, match="seed"):
         parse_config("[mesh]\nn_cells = 16\n")

@@ -19,7 +19,8 @@ from hiermor import (
     qoi_norm,
     solve_fom,
 )
-from hiermor.fem import IpFactor, load_vector, system_matrix, theta
+import hiermor.fem as fem
+from hiermor.fem import IpFactor, coercivity_constants, load_vector, system_matrix, theta
 
 import mms
 
@@ -94,16 +95,23 @@ def test_affine_assembly_matches_direct():
     assert np.allclose(system_matrix(ops, mu).toarray(), direct, rtol=0, atol=0)
 
 
-def test_ip_factor_is_factored_once_per_operator_set():
+def test_ip_factor_is_factored_once_per_operator_set(monkeypatch):
     ops = assemble(MeshSpec(16))
     factor = ops.ip_factor
     assert ops.ip_factor is factor
     fresh = IpFactor.of(ops.ip)
     assert np.array_equal(factor.root_d, fresh.root_d) and np.array_equal(factor.sub, fresh.sub)
+    # so are the coercivity constants, one bisection per block
+    pencils, pencil = [], fem._pencil_min_eig
+    monkeypatch.setattr(fem, "_pencil_min_eig", lambda a, b: pencils.append(1) or pencil(a, b))
+    pair = coercivity_constants(ops)
+    assert coercivity_constants(ops) is pair and len(pencils) == 2
     # a replaced ip is factored anew, not read from the original's cache
     scaled = dataclasses.replace(ops, ip=(4.0 * ops.ip).tocsr())
     assert np.array_equal(scaled.ip_factor.root_d, 2.0 * factor.root_d)
     assert np.array_equal(scaled.ip_factor.sub, factor.sub)
+    assert coercivity_constants(scaled) == pytest.approx((pair[0] / 4, pair[1] / 4), rel=1e-12)
+    assert len(pencils) == 4
 
 
 def test_mesh_and_grid_validation():

@@ -282,6 +282,19 @@ def test_duplicate_training_point_does_not_count_as_growth():
     assert state.counters["fits"] == fits_before
 
 
+def test_replacement_makes_no_refit_due_at_retrain_every_one():
+    # every new point makes a refit due, and 1 is a multiple of 1: only the
+    # growth test keeps the replacing harvest from making one due again
+    state = make_state(retrain_every=1, trust_threshold=50)
+    mu = ParameterPoint(1.0, 5.0)
+    assert state.query(mu)[1].model_used == "FOM"
+    model = state.model
+    assert model is not None and state.counters["fits"] == 1
+    assert state.query(mu)[1].model_used == "RB"
+    assert len(state.train) == 1 and state._surrogate is model
+    assert state.model is model and state.counters["fits"] == 1
+
+
 def test_fit_failure_keeps_previous_model(monkeypatch):
     # every new point makes a refit due (retrain_every = 1); the first query
     # that reads it is an ML answer, trusted from two points on
@@ -427,7 +440,7 @@ STATEFUL_POINTS = st.sampled_from(
 def _snapshot(state):
     """The stored fields; reading `state.model` would fit a due refit."""
     return (dict(state.counters), state.rm, state.train, [id(e) for e in state.train],
-            state._surrogate, state._last_due_size, state._next_index)
+            state._surrogate, state._next_index)
 
 
 class QueryLadderMachine(RuleBasedStateMachine):

@@ -339,7 +339,7 @@ def test_norm_of_difference_matches_direct_formula():
 
 
 def test_predict_matches_reference_bit_for_bit(tmp_path):
-    # the cached normalized centers must follow every way a model is made:
+    # the cached center columns must follow every way a model is made:
     # fit, load_model, and dataclasses.replace (down to a nested sub-model)
     data = synthetic_targets(grid_points(9), seed=15)
     model = fit(training_set(data), dataclasses.replace(CONFIG, greedy_tol=0.0))
@@ -358,7 +358,7 @@ def test_predict_matches_reference_bit_for_bit(tmp_path):
     assert model.n_centers >= 4
     probes = grid_points(6) + [ParameterPoint(3.3, 47.0)] + model.centers[:2]
     for m in models:
-        assert m.normalized_centers.shape == (m.n_centers, 2)
+        assert m.center_da.shape == m.center_pe.shape == (m.n_centers,)
         for mu in probes:
             assert np.array_equal(predict(m, mu).values, reference_predict(m, mu))
     singular = dataclasses.replace(model, newton_cholesky=np.zeros_like(model.newton_cholesky))
