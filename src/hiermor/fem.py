@@ -160,15 +160,17 @@ class Trajectory:
 class FomOperators:
     """Assembled, parameter-independent FEM blocks on the free nodes 1 .. n_cells.
 
-    All matrices are tridiagonal CSR of size n_dofs = n_cells.  `blocks` are the
-    affine terms A_q in theta order (diffusion, advection, and reaction, a copy
-    of mass); row q of `loads` (Q x n_dofs) is b_q.  `ip` is the discrete H1
-    inner product mass + diffusion used for all orthogonality and dual norms.
+    All matrices are tridiagonal CSR of size n_dofs = n_cells, built by
+    `assemble` straight from their bands.  `blocks` are the affine terms A_q
+    in theta order (diffusion, advection, and reaction, equal to mass); row
+    q of `loads` (Q x n_dofs) is b_q.  `ip` is the discrete H1 inner product
+    mass + diffusion used for all orthogonality and dual norms.
 
     Treated as immutable after assembly (solvers for distinct parameters may
-    share one instance).  `ip_factor` and `coercivity` are computed on first
-    use and cached on the instance; a `dataclasses.replace`d set computes
-    its own.
+    share one instance).  `ip_bands`, `ip_factor` and `coercivity` are
+    computed on first use and cached on the instance, so ip's bands are read
+    and checked once for its factor and both coercivity pencils; a
+    `dataclasses.replace`d set reads its own.
     """
 
     mass: sp.csr_matrix
@@ -180,15 +182,21 @@ class FomOperators:
     inflow_value: float
 
     @cached_property
+    def ip_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """`tridiagonal(ip)`, read once per operator set."""
+        return tridiagonal(self.ip)
+
+    @cached_property
     def ip_factor(self) -> IpFactor:
-        """`IpFactor.of(ip)`, factored once per operator set."""
-        return IpFactor.of(self.ip)
+        """ip's factor from `ip_bands`, factored once per operator set."""
+        return IpFactor.of_bands(*self.ip_bands)
 
     @cached_property
     def coercivity(self) -> tuple[float, float]:
         """The pair `coercivity_constants` returns, computed once per operator set."""
         diffusion, _, reaction = self.blocks
-        return _pencil_min_eig(diffusion, self.ip), _pencil_min_eig(reaction, self.ip)
+        return (_pencil_min_eig(tridiagonal(diffusion), self.ip_bands),
+                _pencil_min_eig(tridiagonal(reaction), self.ip_bands))
 
 
 def tridiagonal(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +226,13 @@ class IpFactor:
     @classmethod
     def of(cls, ip) -> IpFactor:
         """ValueError unless ip is symmetric tridiagonal and positive definite."""
-        d, e, info = dpttrf(*tridiagonal(ip))
+        return cls.of_bands(*tridiagonal(ip))
+
+    @classmethod
+    def of_bands(cls, main: np.ndarray, off: np.ndarray) -> IpFactor:
+        """The factor of the symmetric tridiagonal matrix with these bands;
+        ValueError unless it is positive definite."""
+        d, e, info = dpttrf(main, off)
         if info != 0:
             raise ValueError("inner product matrix is not positive definite")
         return cls(np.sqrt(d), e)
@@ -255,15 +269,24 @@ class IpFactor:
         return dtbtrs(band, rhs, uplo=uplo, diag="U")[0]
 
 
+# Relative width at which the coercivity bisection stops: its bracket [lo, hi]
+# satisfies hi - lo <= COERCIVITY_RTOL * lo.
+COERCIVITY_RTOL = 1e-12
+
+
 def _pencil_min_eig(a, b) -> float:
-    """Largest s found by bisection at which a - s b (b SPD) factors by Cholesky."""
-    ad, ae = tridiagonal(a)
-    bd, be = tridiagonal(b)
+    """The lower end of a bisection bracket, relatively COERCIVITY_RTOL wide, on
+    the shifts s at which a - s b (b SPD) factors by Cholesky; a and b are
+    (main, off) band pairs."""
+    (ad, ae), (bd, be) = a, b
     if dpttrf(ad, ae)[2] != 0:
         raise ValueError("operator is not positive definite; 0 is no coercivity bound")
+    d, e = np.empty_like(ad), np.empty_like(ae)  # shifted bands, overwritten by PTTRF
     lo, hi = 0.0, float(np.min(ad / bd))
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if dpttrf(ad - mid * bd, ae - mid * be)[2] == 0:
+    while hi - lo > COERCIVITY_RTOL * lo and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        np.subtract(ad, np.multiply(mid, bd, out=d), out=d)
+        np.subtract(ae, np.multiply(mid, be, out=e), out=e)
+        if dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2] == 0:
             lo = mid
         else:
             hi = mid
@@ -278,9 +301,14 @@ def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
     below the pencil's minimal eigenvalue.  Bisection brackets it in
     [0, min_i a_ii / ip_ii] (0 once a itself factors; a unit vector's
     Rayleigh quotient is at or above the minimum) and tests each midpoint
-    with one O(n_dofs) tridiagonal Cholesky factorization (LAPACK PTTRF),
-    O(n_dofs log(1/eps)) in all.  The value is the bracket's lower end, at
-    which the factorization succeeded.  Raises ValueError for an operator
+    with one O(n_dofs) tridiagonal Cholesky factorization (LAPACK PTTRF) of
+    the shifted bands.  It stops once hi - lo <= COERCIVITY_RTOL * lo, after
+    O(log(hi_0 / (lo COERCIVITY_RTOL))) factorizations for the first upper
+    end hi_0 (42 and 43 PTTRF calls on the shipped meshes, the first check
+    included).  The value is lo, at which the factorization succeeded, so
+    it stays a lower bound; at hi, a relative COERCIVITY_RTOL above it at
+    most, the factorization failed.  Each block's bands and ip's are read
+    and checked once per operator set.  Raises ValueError for an operator
     that is not symmetric tridiagonal or not positive definite.
     """
     return ops.coercivity
@@ -315,18 +343,13 @@ def assemble(mesh: MeshSpec, inflow_value: float = 1.0) -> FomOperators:
     main_m = np.full(n, 2.0 * h / 3.0)
     main_m[-1] = h / 3.0
     off_m = np.full(n - 1, h / 6.0)
-    mass = sp.diags([off_m, main_m, off_m], [-1, 0, 1], format="csr")
 
     main_k = np.full(n, 2.0 / h)
     main_k[-1] = 1.0 / h
     off_k = np.full(n - 1, -1.0 / h)
-    diff = sp.diags([off_k, main_k, off_k], [-1, 0, 1], format="csr")
 
     main_b = np.zeros(n)
     main_b[-1] = 0.5
-    adv = sp.diags(
-        [np.full(n - 1, -0.5), main_b, np.full(n - 1, 0.5)], [-1, 0, 1], format="csr"
-    )
 
     # Couplings of the free nodes to the eliminated inflow node, moved to the
     # right-hand side: b_q = -A_q[free, 0] * g.  Only node 1 is affected.
@@ -337,14 +360,32 @@ def assemble(mesh: MeshSpec, inflow_value: float = 1.0) -> FomOperators:
     output[-1] = 1.0
 
     return FomOperators(
-        mass=mass,
-        blocks=(diff, adv, mass.copy()),
+        mass=_tridiagonal_csr(off_m, main_m, off_m),
+        blocks=(_tridiagonal_csr(off_k, main_k, off_k),
+                _tridiagonal_csr(np.full(n - 1, -0.5), main_b, np.full(n - 1, 0.5)),
+                _tridiagonal_csr(off_m, main_m, off_m)),
         loads=loads,
         output=output,
-        ip=(mass + diff).tocsr(),
+        ip=_tridiagonal_csr(off_m + off_k, main_m + main_k, off_m + off_k),
         n_dofs=n,
         inflow_value=g,
     )
+
+
+def _tridiagonal_csr(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix with these sub-, main and superdiagonals, in canonical
+    form and with zeros not stored, as `sp.diags(..., format="csr")` builds it."""
+    n = main.size
+    bands = np.zeros((n, 3))
+    bands[1:, 0], bands[:, 1], bands[:-1, 2] = lower, main, upper
+    cols = np.empty((n, 3), dtype=np.int32)
+    cols[:, 1] = np.arange(n, dtype=np.int32)
+    cols[:, 0], cols[:, 2] = cols[:, 1] - 1, cols[:, 1] + 1
+    stored = bands != 0
+    per_row = stored.view(np.int8)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(per_row[:, 0] + per_row[:, 1] + per_row[:, 2], dtype=np.int32, out=indptr[1:])
+    return sp.csr_matrix((bands[stored], cols[stored], indptr), shape=(n, n))
 
 
 def system_matrix(ops: FomOperators, mu: ParameterPoint) -> sp.csr_matrix:

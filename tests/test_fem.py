@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -95,23 +97,51 @@ def test_affine_assembly_matches_direct():
     assert np.allclose(system_matrix(ops, mu).toarray(), direct, rtol=0, atol=0)
 
 
+def test_assembled_operators_are_canonical_csr_with_the_reference_entries():
+    n = 32
+    h = 1.0 / n
+    ops = assemble(MeshSpec(n))
+
+    def reference(lower, main, upper):
+        return sp.diags([np.full(n - 1, lower), main, np.full(n - 1, upper)], [-1, 0, 1],
+                        format="csr")
+
+    mass = reference(h / 6, np.append(np.full(n - 1, 2 * h / 3), h / 3), h / 6)
+    diffusion = reference(-1 / h, np.append(np.full(n - 1, 2 / h), 1 / h), -1 / h)
+    advection = reference(-0.5, np.append(np.zeros(n - 1), 0.5), 0.5)
+    for mat, want in zip((ops.mass, *ops.blocks), (mass, diffusion, advection, mass)):
+        assert mat.format == "csr" and mat.has_sorted_indices and mat.has_canonical_format
+        assert np.all(mat.data != 0)
+        assert np.allclose(mat.toarray(), want.toarray(), rtol=0, atol=0)
+    assert ops.ip.format == "csr" and ops.ip.has_canonical_format
+    assert np.array_equal(ops.ip.toarray(), (ops.mass + ops.blocks[0]).toarray())
+
+
 def test_ip_factor_is_factored_once_per_operator_set(monkeypatch):
     ops = assemble(MeshSpec(16))
+    fresh = IpFactor.of(ops.ip)
+    # each operator's bands are read and checked once per set
+    read, tridiagonal = [], fem.tridiagonal
+    monkeypatch.setattr(fem, "tridiagonal", lambda mat: read.append(mat) or tridiagonal(mat))
     factor = ops.ip_factor
     assert ops.ip_factor is factor
-    fresh = IpFactor.of(ops.ip)
     assert np.array_equal(factor.root_d, fresh.root_d) and np.array_equal(factor.sub, fresh.sub)
     # so are the coercivity constants, one bisection per block
     pencils, pencil = [], fem._pencil_min_eig
     monkeypatch.setattr(fem, "_pencil_min_eig", lambda a, b: pencils.append(1) or pencil(a, b))
     pair = coercivity_constants(ops)
     assert coercivity_constants(ops) is pair and len(pencils) == 2
-    # a replaced ip is factored anew, not read from the original's cache
+    assert len(read) == 3
+    once = (ops.ip, ops.blocks[0], ops.blocks[2])
+    assert [sum(m is op for m in read) for op in once] == [1, 1, 1]
+    # a replaced ip is read and factored anew, not taken from the original's cache
+    read.clear()
     scaled = dataclasses.replace(ops, ip=(4.0 * ops.ip).tocsr())
     assert np.array_equal(scaled.ip_factor.root_d, 2.0 * factor.root_d)
     assert np.array_equal(scaled.ip_factor.sub, factor.sub)
     assert coercivity_constants(scaled) == pytest.approx((pair[0] / 4, pair[1] / 4), rel=1e-12)
     assert len(pencils) == 4
+    assert len(read) == 3 and sum(m is scaled.ip for m in read) == 1
 
 
 def test_mesh_and_grid_validation():
@@ -291,6 +321,43 @@ def test_coercive_part_dominates_h_norm():
             v = rng.standard_normal(ops.n_dofs)
             coercive = th_d * float(v @ (ops.blocks[0] @ v)) + th_r * float(v @ (ops.blocks[2] @ v))
             assert coercive >= alpha * float(v @ (ops.ip @ v)) - 1e-12
+
+
+def _factors(a, b, s) -> bool:
+    """Whether a - s b factors by PTTRF, the shift formed as the bisection forms it."""
+    (ad, ae), (bd, be) = a, b
+    return dpttrf(ad - s * bd, ae - s * be)[2] == 0
+
+
+def _assert_certified_and_tight(a, b, gamma):
+    assert gamma > 0
+    assert _factors(a, b, gamma)
+    assert not _factors(a, b, gamma * (1 + 2 * fem.COERCIVITY_RTOL))
+
+
+@pytest.mark.parametrize("n_cells", [16, 256, 2048])
+def test_coercivity_constants_are_certified_and_tight(n_cells):
+    ops = assemble(MeshSpec(n_cells))
+    ip = fem.tridiagonal(ops.ip)
+    for gamma, block in zip(coercivity_constants(ops), (ops.blocks[0], ops.blocks[2])):
+        _assert_certified_and_tight(fem.tridiagonal(block), ip, gamma)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pencil_min_eig_is_certified_and_tight_on_random_pencils(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+
+    def spd_bands():
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        main = rng.uniform(0.01, 1.0, n) + np.append(np.abs(off), 0) + np.insert(np.abs(off), 0, 0)
+        return main, off
+
+    a, b = spd_bands(), spd_bands()
+    gamma = fem._pencil_min_eig(a, b)
+    _assert_certified_and_tight(a, b, gamma)
+    dense = [np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in (a, b)]
+    assert gamma == pytest.approx(scipy.linalg.eigh(*dense, eigvals_only=True)[0], rel=1e-9)
 
 
 def test_advection_quadratic_form_nonnegative():
