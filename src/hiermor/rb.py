@@ -64,8 +64,10 @@ class ReducedModel:
       B^ = [[M_r, dt b_r(mu)], [0, 1]]; weighted by (1, dt theta) they sum
       to the transposes of S^ and B^, which LAPACK reads in Fortran order
       as S^ and B^ themselves.
-    - `riesz_loads` (Q, q) and `riesz_ops` (Q + 1, r q): the load rows and
-      the operator row blocks [R_M, R_1 .. R_Q] of `riesz_sqrt`.
+    - `riesz_terms` (Q + 1, (r + 1) q): per term the rows of `riesz_sqrt`
+      that map the augmented state [a; 1], [R_M; 0] for the mass and
+      [R_q; -R_load_q] for operator q, so the load row of each term rides
+      in the row the trailing 1 of the state picks out.
 
     Immutable: enrichment builds a new model instead of mutating, so
     concurrent queries against one instance are safe.
@@ -84,8 +86,7 @@ class ReducedModel:
     init_error: float
     init_state: np.ndarray
     step_terms: np.ndarray = field(init=False, repr=False, compare=False)
-    riesz_loads: np.ndarray = field(init=False, repr=False, compare=False)
-    riesz_ops: np.ndarray = field(init=False, repr=False, compare=False)
+    riesz_terms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.dim
@@ -96,9 +97,11 @@ class ReducedModel:
         terms[1:, 0, :r, :r] = self.red_blocks.transpose(0, 2, 1)
         terms[1:, 1, r, :r] = self.red_loads
         self.step_terms = terms.reshape(n_terms + 1, -1)
-        rows = np.ascontiguousarray(self.riesz_sqrt)
-        self.riesz_loads = rows[:n_terms]
-        self.riesz_ops = rows[n_terms:].reshape(n_terms + 1, r * rows.shape[1])
+        q = self.riesz_sqrt.shape[1]
+        riesz = np.zeros((n_terms + 1, r + 1, q))
+        riesz[:, :r] = self.riesz_sqrt[n_terms:].reshape(n_terms + 1, r, q)
+        riesz[1:, r] = -self.riesz_sqrt[:n_terms]
+        self.riesz_terms = riesz.reshape(n_terms + 1, -1)
 
     @property
     def dim(self) -> int:
@@ -196,22 +199,22 @@ def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
 def solve_rb(
     rm: ReducedModel, mu: ParameterPoint, grid: TimeGrid
 ) -> tuple[np.ndarray, QoiVector]:
-    """Implicit Euler on the reduced system; returns (reduced trajectory, QoI).
+    """Implicit Euler on the reduced system; returns (augmented trajectory, QoI).
 
-    The trajectory has one row per time step (row 0 = projected initial
-    state).  The step a^{k+1} = G a^k + g, G = S^-1 M, g = S^-1 dt b, with
-    S = M + dt A(mu), is linear in the augmented state [a; 1]: the augmented
-    propagator G^ = [[G, g], [0, 1]] solves S^ G^ = B^ for the augmented
-    S^ and B^ of `ReducedModel.step_terms`, whose one product with
-    (1, dt theta) builds both, so one LAPACK GESV gives G^ (for r = 0 a
-    1 x 1 system).  The rows [a^n, 1] are then filled by doubling: with rows
-    [0, m) known and P = (G^h)^T for some h <= m, rows [m, m + k) are rows
-    [m - h, m - h + k) times P, k <= h, written in place; P is squared
-    (h = m) only while more than h rows remain.  The last column stays
-    exactly 1.  Cost O(r^3 log n_steps + n_steps r^2) in about
+    The trajectory has one row [a^n, 1] per time step (row 0 = projected
+    initial state), shape (n_steps + 1, r + 1), C-ordered, last column
+    exactly 1; `estimate` reads it as it is.  The step
+    a^{k+1} = G a^k + g, G = S^-1 M, g = S^-1 dt b, with S = M + dt A(mu),
+    is linear in the augmented state [a; 1]: the augmented propagator
+    G^ = [[G, g], [0, 1]] solves S^ G^ = B^ for the augmented S^ and B^ of
+    `ReducedModel.step_terms`, whose one product with (1, dt theta) builds
+    both, so one LAPACK GESV gives G^ (for r = 0 a 1 x 1 system).  The rows
+    are then filled by doubling: with rows [0, m) known and P = (G^h)^T for
+    some h <= m, rows [m, m + k) are rows [m - h, m - h + k) times P,
+    k <= h, written in place; P is squared (h = m) only while more than h
+    rows remain.  Cost O(r^3 log n_steps + n_steps r^2) in about
     2 log2(n_steps) products, and nothing touches an n_dofs-sized object.
-    The trajectory returned is a view of the first r columns.  Raises
-    RuntimeError when S is exactly singular.
+    Raises RuntimeError when S is exactly singular.
     """
     r = rm.dim
     dt = grid.dt
@@ -235,8 +238,10 @@ def solve_rb(
         k = min(h, n_rows - m)
         np.matmul(traj[m - h: m - h + k], power, out=traj[m: m + k])
         m += k
-    traj = traj[:, :r]
-    return traj, QoiVector(traj[1:] @ rm.red_output, dt)
+    # the first r columns, not [a^n, 1] against a zero-padded output, which
+    # sums in another order at some r (43, the n = 2048 end basis) and
+    # would move the QoI's bits
+    return traj, QoiVector(traj[1:, :r] @ rm.red_output, dt)
 
 
 def estimate(
@@ -244,33 +249,37 @@ def estimate(
 ) -> ErrorBound:
     """Residual-based bound on the L2-in-time output error at mu.
 
-    The per-step residual is affine in the reduced coefficients, so its
-    Riesz coordinates are mapped directly from the row blocks of
-    `riesz_sqrt`, [R_load (Q rows), R_M (r rows), R_1 .. R_Q (r rows each)]
-    for [b_1 .. b_Q, M Phi, A_1 Phi .. A_Q Phi]:
+    `reduced_traj` is the augmented trajectory that `solve_rb` returns,
+    rows t^n = [a^n, 1], shape (n_steps + 1, r + 1); any other shape raises
+    ValueError.  The per-step residual
+    b(mu) - M Phi (a^n - a^{n-1})/dt - A(mu) Phi a^n is affine in t^n, so
+    its Riesz coordinates, up to a sign the norm drops, are the row
 
-        mapped^n = theta . R_load - (a^n - a^{n-1}) R_M/dt - a^n R_theta,
+        t^n Z_theta + (t^n - t^{n-1}) Z_M,
 
-    and its dual norm is the Euclidean norm of the row.  R_M/dt and
-    R_theta = sum_q theta_q R_q come from one product with `riesz_ops`.  The
-    difference is formed in a C-ordered copy of the trajectory (`solve_rb`
-    returns a strided view, over which NumPy would loop row by row), and the
-    two terms are two products on contiguous operands; the bits do not
-    depend on the trajectory's layout.  Online cost O(n_steps * 2r * q), q
-    the column count of `riesz_sqrt` (the rank of the residual
-    representers, 46 at r = 36 on the desk config).
+    Z_M = [R_M/dt; 0] and Z_theta = [sum_q theta_q R_q; -theta . R_load],
+    both from one product of (1/dt, theta) with
+    `ReducedModel.riesz_terms`; its dual norm is the Euclidean norm of the
+    row.  The load rides on the trailing 1 of t^n, whose difference is
+    exactly 0.  The trajectory is read through `np.ascontiguousarray`, free
+    on `solve_rb`'s buffer, so the bits do not depend on its layout.  Online
+    cost O(n_steps * 2(r + 1) * q), q the column count of `riesz_sqrt` (the
+    rank of the residual representers, 46 at r = 36 on the desk config).
     """
     r = rm.dim
     dt = grid.dt
     th = theta(mu)
+    if reduced_traj.shape != (grid.n_steps + 1, r + 1):
+        raise ValueError(
+            f"reduced trajectory has shape {reduced_traj.shape}, expected "
+            f"(n_steps + 1, rm.dim + 1) = {(grid.n_steps + 1, r + 1)}")
 
     traj = np.ascontiguousarray(reduced_traj)
-    a_now = traj[1:]
+    t_now = traj[1:]
     weights = np.array([[1.0 / dt, 0.0, 0.0, 0.0], [0.0, th[0], th[1], th[2]]])
-    r_mass, r_theta = (weights @ rm.riesz_ops).reshape(2, r, rm.riesz_loads.shape[1])
-    mapped = np.subtract(a_now, traj[:-1]) @ r_mass
-    mapped += a_now @ r_theta
-    np.subtract(np.asarray(th) @ rm.riesz_loads, mapped, out=mapped)
+    z_mass, z_theta = (weights @ rm.riesz_terms).reshape(2, r + 1, -1)
+    mapped = t_now @ z_theta
+    mapped += np.subtract(t_now, traj[:-1]) @ z_mass
     sq = np.einsum("ni,ni->n", mapped, mapped)
     residual_norms = np.sqrt(sq)
 

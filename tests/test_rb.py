@@ -75,10 +75,19 @@ def stepping_solve_rb(rm, mu, grid):
     return traj
 
 
-def weights_estimate(rm, mu, reduced_traj, grid):
-    """Reference bound: one (3 + 4r)-column weight row per step times all of riesz_sqrt."""
+def augmented(reduced_traj):
+    """[a^n, 1]: the trajectory with the column of ones `solve_rb` returns."""
+    return np.column_stack([reduced_traj, np.ones(len(reduced_traj))])
+
+
+def weights_estimate(rm, mu, aug_traj, grid):
+    """Reference bound: one (3 + 4r)-column weight row per step times all of riesz_sqrt.
+
+    Reads the first r columns of the augmented trajectory; the load weights
+    are theta itself, not the trailing column of ones."""
     r, dt, n = rm.dim, grid.dt, grid.n_steps
     th_d, th_a, th_r = theta(mu)
+    reduced_traj = aug_traj[:, :r]
     a_now = reduced_traj[1:]
     weights = np.empty((n, 3 + 4 * r))
     weights[:, :3] = th_d, th_a, th_r
@@ -185,7 +194,7 @@ def test_riesz_gram_against_brute_force(n_cells):
     rm = project(ops, basis, np.zeros(ops.n_dofs))
     rtraj, _ = solve_rb(rm, mu, grid)
     bound = estimate(rm, mu, rtraj, grid)
-    full_traj = rtraj @ basis.modes.T
+    full_traj = rtraj[:, :3] @ basis.modes.T
     oracle = brute_force_dual_norms(ops, mu, full_traj, grid)
     assert np.allclose(bound.residual_norms, oracle, rtol=1e-8, atol=1e-12)
 
@@ -197,7 +206,8 @@ def test_empty_basis_gives_zero_output(small_problem):
     ops, grid = small_problem
     rm = project(ops, empty_basis(ops.n_dofs), np.zeros(ops.n_dofs))
     rtraj, qoi = solve_rb(rm, ParameterPoint(1.0, 10.0), grid)
-    assert rtraj.shape == (grid.n_steps + 1, 0)
+    assert rtraj.shape == (grid.n_steps + 1, 1)
+    assert np.array_equal(rtraj, np.ones_like(rtraj))
     assert not qoi.values.any()
 
 
@@ -208,7 +218,7 @@ def test_full_space_basis_reproduces_fom(small_problem):
     traj, f_h = solve_fom(ops, mu, grid, c0)
     rm = project(ops, full_basis(ops), c0)
     rtraj, f_rb = solve_rb(rm, mu, grid)
-    recon = rtraj @ rm.basis.modes.T
+    recon = rtraj[:, :rm.dim] @ rm.basis.modes.T
     assert np.abs(recon - traj.coeffs).max() < 1e-8
     assert np.abs(f_rb.values - f_h.values).max() < 1e-8
 
@@ -237,10 +247,11 @@ def test_solve_rb_matches_stepping_reference(small_problem, reference_trajectory
     mu = ParameterPoint(2.0, 25.0)
     rtraj, qoi = solve_rb(rm, mu, grid)
     ref = stepping_solve_rb(rm, mu, grid)
-    assert rtraj.shape == (n_steps + 1, rm.dim)
-    assert np.array_equal(rtraj[0], rm.red_init)
-    assert np.abs(rtraj - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert np.array_equal(qoi.values, rtraj[1:] @ rm.red_output)
+    r = rm.dim
+    assert rtraj.shape == (n_steps + 1, r + 1)
+    assert np.array_equal(rtraj[0, :r], rm.red_init)
+    assert np.abs(rtraj[:, :r] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(qoi.values, rtraj[1:, :r] @ rm.red_output)
 
 
 def test_solve_rb_singular_step_raises(small_problem):
@@ -258,7 +269,7 @@ def test_galerkin_orthogonality_per_step(small_problem):
     basis = random_basis(ops, 5, seed=8)
     rm = project(ops, basis, np.zeros(ops.n_dofs))
     rtraj, _ = solve_rb(rm, mu, grid)
-    full_traj = rtraj @ basis.modes.T
+    full_traj = rtraj[:, :5] @ basis.modes.T
     a_mat = system_matrix(ops, mu)
     b = load_vector(ops, mu)
     for k in range(1, grid.n_steps + 1):
@@ -285,6 +296,20 @@ def test_empty_basis_bound_positive(small_problem):
     rtraj, _ = solve_rb(rm, ParameterPoint(1.0, 10.0), grid)
     bound = estimate(rm, ParameterPoint(1.0, 10.0), rtraj, grid)
     assert bound.delta_rb > 0.0
+
+
+@pytest.mark.parametrize("r", [0, 3])
+def test_estimate_rejects_r_column_trajectory(small_problem, r):
+    # the first r columns alone are no augmented trajectory, nor is one
+    # with a row too many
+    ops, grid = small_problem
+    rm = project(ops, random_basis(ops, r, seed=9) if r else empty_basis(ops.n_dofs),
+                 np.zeros(ops.n_dofs))
+    mu = ParameterPoint(1.0, 10.0)
+    rtraj, _ = solve_rb(rm, mu, grid)
+    for traj in (rtraj[:, :r], np.vstack([rtraj, rtraj[-1:]])):
+        with pytest.raises(ValueError, match=r"\(n_steps \+ 1, rm.dim \+ 1\)"):
+            estimate(rm, mu, traj, grid)
 
 
 def test_estimator_rigor_random_parameters(small_problem, default_box):
@@ -323,7 +348,7 @@ def test_bound_floor_matches_stepping_reference():
         traj, _ = solve_fom(ops, train_mu, grid, c0)
         rm, _ = enrich(rm, traj, ops, energy_tol=1e-10, max_modes=100)
         for mu in mus:
-            ref = estimate(rm, mu, stepping_solve_rb(rm, mu, grid), grid).delta_rb
+            ref = estimate(rm, mu, augmented(stepping_solve_rb(rm, mu, grid)), grid).delta_rb
             new = estimate(rm, mu, solve_rb(rm, mu, grid)[0], grid).delta_rb
             if ref >= 1e-10:
                 assert abs(new - ref) <= 1e-3 * ref
@@ -396,16 +421,18 @@ def test_online_tier_property(small_problem, reference_trajectory, r, seed, c0_r
 
     rtraj, qoi = solve_rb(rm, mu, grid)
     ref = stepping_solve_rb(rm, mu, grid)
-    assert rtraj.shape == ref.shape == (n_steps + 1, r)
-    assert np.abs(rtraj - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
-    assert np.array_equal(qoi.values, rtraj[1:] @ rm.red_output)
+    assert rtraj.shape == (n_steps + 1, r + 1) and ref.shape == (n_steps + 1, r)
+    assert rtraj.flags.c_contiguous
+    assert np.array_equal(rtraj[:, r], np.ones(n_steps + 1))
+    assert np.abs(rtraj[:, :r] - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+    assert np.array_equal(qoi.values, rtraj[1:, :r] @ rm.red_output)
 
     bound = estimate(rm, mu, rtraj, grid)
     assert_estimate_matches_weights_reference(rm, mu, rtraj, grid, bound)
     # the same values in a strided view, C order and Fortran order give the same bits
-    wide = np.zeros((n_steps + 1, r + 3))
-    wide[:, 1: r + 1] = rtraj
-    for layout in (wide[:, 1: r + 1], np.ascontiguousarray(rtraj), np.asfortranarray(rtraj)):
+    wide = np.zeros((n_steps + 1, r + 4))
+    wide[:, 1: r + 2] = rtraj
+    for layout in (wide[:, 1: r + 2], rtraj.copy(), np.asfortranarray(rtraj)):
         assert same_bound(estimate(rm, mu, layout, grid), bound)
 
     # replace() refreshes the derived operands: a model of another basis given
