@@ -75,6 +75,9 @@ class ParameterBox:
     pe_max: float = 100.0
 
     def __post_init__(self):
+        for name in ("da_min", "da_max", "pe_min", "pe_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.da_min < self.da_max:
             raise ValueError("da_min must be < da_max")
         if not self.pe_min < self.pe_max:
@@ -120,8 +123,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if abs(self.dt * self.n_steps - self.t_end) > 1e-12 * self.t_end:

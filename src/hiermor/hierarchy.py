@@ -11,12 +11,12 @@ Every query walks the same decision ladder:
    return it.
 
 A refit of the kernel model from scratch falls due whenever a harvest
-grows the training set to a multiple of `retrain_every` points.  The
-controller keeps that training set and fits it the first time something
-reads the surrogate, so a refit that a later one replaces unread costs
-nothing; the fit is deterministic, so every answer is the one an eager fit
-would give.  Trust is either the blunt training-set size threshold or a
-per-query validation against the triangle-inequality certificate
+grows the training set to a multiple of `retrain_every` points.  Its
+`Surrogate` fits that set on the first read of its model and keeps the fit,
+so a refit that a later one replaces unread costs nothing; the fit is
+deterministic, so every answer is the one an eager fit would give.  Trust
+is either the blunt training-set size threshold or a per-query validation
+against the triangle-inequality certificate
 
     ||f_fom(mu) - f_ml(mu)|| <= delta_rb(mu) + ||f_rb(mu) - f_ml(mu)||,
 
@@ -26,8 +26,10 @@ which is computable without any full-order solve.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,8 +78,8 @@ class HierarchyConfig:
     warm_start_corners: bool = False
 
     def __post_init__(self):
-        if self.rom_tol <= 0.0:
-            raise ValueError("rom_tol must be positive")
+        if not 0.0 < self.rom_tol < math.inf:
+            raise ValueError("rom_tol must be positive and finite")
         if self.retrain_every < 1:
             raise ValueError("retrain_every must be >= 1")
         if self.trust_threshold < 1:
@@ -85,8 +87,8 @@ class HierarchyConfig:
         if self.trust_mode not in TRUST_MODES:
             raise ValueError(f"trust_mode must be one of {', '.join(TRUST_MODES)}; "
                              f"got {self.trust_mode!r}")
-        if self.validation_slack <= 0.0:
-            raise ValueError("validation_slack must be positive")
+        if not 0.0 < self.validation_slack < math.inf:
+            raise ValueError("validation_slack must be positive and finite")
         if not 0.0 <= self.enrich_energy_tol < 1.0:
             raise ValueError("enrich_energy_tol must lie in [0, 1)")
         if self.enrich_max_modes < 1:
@@ -115,26 +117,42 @@ class QueryRecord:
     train_size_after: int
 
 
+@dataclass(frozen=True, eq=False)
+class Surrogate:
+    """A training set a refit fell due on, and its kernel model, fitted on
+    first read and cached as `FomOperators.ip_factor` is; a fit that raises
+    caches nothing.  `earlier_fits` counts the fits made before this value."""
+
+    train: TrainingSet
+    kernel_config: KernelConfig
+    earlier_fits: int = 0
+
+    @cached_property
+    def model(self) -> KernelModel:
+        return fit(self.train, self.kernel_config)
+
+    @property
+    def fits(self) -> int:
+        return self.earlier_fits + ("model" in self.__dict__)
+
+
 class AdaptiveHierarchy:
     """Sequential controller owning the reduced model, surrogate and training set.
 
     A query changes controller state all at once or not at all.  `query()`
     walks the ladder once, computing in locals the answer, the candidate
-    basis and training set, the surrogate it read, and the counter
-    increments; `_commit` writes them in one step, and only then does the
-    record index advance.  A query that raises (a parameter outside the box,
-    a failing `solve_fom`, `enrich` or `fit`) changes nothing.  Each query
-    starts from the state the previous one left, so queries run one at a
-    time.
+    basis, training set and surrogate, and the counter increments; `_commit`
+    writes them in one step, and only then does the record index advance.
+    A query that raises (a parameter outside the box, a failing `solve_fom`,
+    `enrich` or `fit`) changes no controller field.  Queries run one at a
+    time, each from the state the previous one left.
 
-    The refit schedule is read off the training-set size, so no other state
-    records it.  When a refit falls due, the controller keeps the training
-    set instead of a model, and the first read fits it: an ML answer, a
-    certificate, or the `model` property.  So a failing fit surfaces in the
-    query that first reads the model, and `counters["fits"]` counts the
-    fits made.
-    `rb_answer` only evaluates; `ml_answer` and `certify` write nothing but
-    such a fit, committed through `model`.
+    Reads (`model`, `certify`, `counters`) write no controller field.  A
+    refit that falls due (the schedule is read off the training-set size)
+    installs an unfitted `Surrogate`.  The first read of its model, by an ML
+    answer, a certificate or `model`, fits it once and caches the fit, which
+    stays when that query fails later; so a failing fit surfaces in the
+    first query that reads it, and `counters["fits"]` counts the fits made.
     """
 
     def __init__(
@@ -155,65 +173,43 @@ class AdaptiveHierarchy:
         empty = PodBasis(np.zeros((ops.n_dofs, 0)), np.zeros(0))
         self.rm: ReducedModel = project(ops, empty, self.c0)
         self.train = TrainingSet()
-        # The fitted surrogate, or the training set a refit fell due on.
-        self._surrogate: KernelModel | TrainingSet | None = None
-        self.counters = dict.fromkeys(
-            ("fom_solves", "rb_solves", "ml_predicts", "fits", "stagnated"), 0)
+        # The surrogate of the last refit that fell due; None before the first.
+        self._surrogate: Surrogate | None = None
+        self._counts = dict.fromkeys(("fom_solves", "rb_solves", "ml_predicts", "stagnated"), 0)
         self._next_index = 1
         if config.warm_start_corners:
             for corner in box.corners():
-                work: dict[str, int] = {}
-                self._commit(work, self._harvest(corner, None, work, self._surrogate)[1])
+                _, learned, stagnated = self._harvest(corner, None)
+                self._commit({"fom_solves": 1, "stagnated": stagnated}, learned)
 
     @property
     def model(self) -> KernelModel | None:
-        """The kernel surrogate; None until a first refit falls due.
+        """The kernel surrogate, fitted on first read; None before the first due refit."""
+        return None if self._surrogate is None else self._surrogate.model
 
-        A refit that fell due is made on this read and committed; a fit that
-        raises changes nothing.
-        """
-        work: dict[str, int] = {}
-        model = self._fitted(work)
-        self._commit(work, (self.rm, self.train, model))
-        return model
-
-    def _fitted(self, work: dict[str, int]) -> KernelModel | None:
-        """The surrogate as read now: the fit of a due training set (counted in
-        `work`), else the stored model.  Writes nothing."""
-        if isinstance(self._surrogate, TrainingSet):
-            work["fits"] = 1
-            return fit(self._surrogate, self.kernel_config)
-        return self._surrogate
-
-    # -- evaluations against the current state -------------------------------
-
-    def ml_answer(self, mu: ParameterPoint) -> QoiVector:
-        """Surrogate prediction; the unfitted surrogate is the zero model."""
-        return self._ml_answer(self.model, mu)
-
-    def _ml_answer(self, model: KernelModel | None, mu: ParameterPoint) -> QoiVector:
-        if model is None:
-            return QoiVector(np.zeros(self.grid.n_steps), self.grid.dt)
-        return predict(model, mu)
-
-    def rb_answer(self, mu: ParameterPoint) -> tuple[QoiVector, float]:
-        """Reduced output and its error bound against the current basis."""
-        traj, qoi = solve_rb(self.rm, mu, self.grid)
-        return qoi, estimate(self.rm, mu, traj, self.grid).delta_rb
+    @property
+    def counters(self) -> dict[str, int]:
+        """What the committed queries ran, and `fits`, the kernel fits made."""
+        fits = 0 if self._surrogate is None else self._surrogate.fits
+        return {**self._counts, "fits": fits}
 
     def certify(self, mu: ParameterPoint) -> MlCertificate:
         """Triangle-inequality bound on the surrogate error; no FOM solve involved.
 
-        An unfitted surrogate counts as the zero model, so the certificate
-        degenerates to delta_rb + ||f_rb||.
+        Before the first due refit the surrogate counts as the zero model,
+        so the certificate degenerates to delta_rb + ||f_rb||.
         """
-        return self._certify(self.model, mu)
-
-    def _certify(self, model: KernelModel | None, mu: ParameterPoint) -> MlCertificate:
-        f_rb, delta = self.rb_answer(mu)
-        f_ml = self._ml_answer(model, mu)
+        model = self.model
+        f_rb, delta = self._rb_answer(mu)
+        f_ml = (QoiVector(np.zeros(self.grid.n_steps), self.grid.dt) if model is None
+                else predict(model, mu))
         gap = qoi_norm(QoiVector(f_rb.values - f_ml.values, f_rb.dt))
         return MlCertificate(delta + gap, delta, f_rb, f_ml)
+
+    def _rb_answer(self, mu: ParameterPoint) -> tuple[QoiVector, float]:
+        """Reduced output and its error bound against the current basis."""
+        traj, qoi = solve_rb(self.rm, mu, self.grid)
+        return qoi, estimate(self.rm, mu, traj, self.grid).delta_rb
 
     # -- the query ladder ------------------------------------------------------
 
@@ -224,30 +220,24 @@ class AdaptiveHierarchy:
         start = time.perf_counter()
         cfg = self.config
         delta = cert = None
-        work: dict[str, int] = {}
-        surrogate = self._surrogate
+        learned = (self.rm, self.train, self._surrogate)
         # Size-threshold trust needs a fitted or due surrogate; the check fits nothing.
-        trusted = (cfg.trust_mode == "size_threshold" and surrogate is not None
-                   and len(self.train) >= cfg.trust_threshold)
-        if trusted or cfg.trust_mode == "always_validate":
-            surrogate = self._fitted(work)
-        learned = (self.rm, self.train, surrogate)
-
-        if trusted:
-            answer, used = self._ml_answer(surrogate, mu), "ML"
-            work["ml_predicts"] = 1
+        if (cfg.trust_mode == "size_threshold" and self._surrogate is not None
+                and len(self.train) >= cfg.trust_threshold):
+            answer, used = predict(self._surrogate.model, mu), "ML"
+            counts = {"ml_predicts": 1}
         else:
-            cert = self._certify(surrogate, mu) if cfg.trust_mode == "always_validate" else None
-            f_rb, delta = (cert.f_rb, cert.delta_rb) if cert else self.rb_answer(mu)
-            work.update(rb_solves=1, ml_predicts=int(cert is not None))
+            cert = self.certify(mu) if cfg.trust_mode == "always_validate" else None
+            f_rb, delta = (cert.f_rb, cert.delta_rb) if cert else self._rb_answer(mu)
+            counts = {"rb_solves": 1, "ml_predicts": int(cert is not None)}
             if cert is not None and cert.value <= cfg.validation_slack * cfg.rom_tol:
                 answer, used = cert.f_ml, "ML"
             else:
                 used = "RB" if delta <= cfg.rom_tol else "FOM"
-                answer, learned = self._harvest(mu, f_rb if used == "RB" else None, work,
-                                                surrogate)
+                answer, learned, stagnated = self._harvest(mu, f_rb if used == "RB" else None)
+                counts.update(fom_solves=int(used == "FOM"), stagnated=stagnated)
 
-        self._commit(work, learned)
+        self._commit(counts, learned)
         self._next_index += 1
         record = QueryRecord(
             index=self._next_index - 1,
@@ -261,37 +251,37 @@ class AdaptiveHierarchy:
         )
         return answer, record
 
-    def _harvest(self, mu: ParameterPoint, f_rb: QoiVector | None, work: dict[str, int],
-                 surrogate: KernelModel | TrainingSet | None):
-        """Answer and (basis, training set, surrogate) after learning mu.
+    def _harvest(self, mu: ParameterPoint, f_rb: QoiVector | None):
+        """Answer, (basis, training set, surrogate) after learning mu, and
+        whether the enrichment stagnated (0 or 1).
 
-        `f_rb` None takes the FOM branch.  `surrogate` is the one the query
-        read.  A refit falls due when the harvest grows the training set to
-        a multiple of `retrain_every` (a repeated mu replaces its entry and
-        grows nothing); the new training set then takes the surrogate's
-        place, unfitted.  `_harvest` copies the set before adding, so
-        nothing mutates it later.  Writes nothing but the caller's `work`.
+        `f_rb` None takes the FOM branch.  A refit falls due when the
+        harvest grows the training set to a multiple of `retrain_every` (a
+        repeated mu replaces its entry and grows nothing); an unfitted
+        surrogate of the new training set then takes the current one's
+        place.  `_harvest` copies the set before adding, so nothing mutates
+        it later.  Writes nothing.
         """
         cfg = self.config
-        rm, train, answer = self.rm, self.train.copy(), f_rb
+        rm, train, surrogate, answer = self.rm, self.train.copy(), self._surrogate, f_rb
+        stagnated = 0
         if f_rb is None:
             traj, answer = solve_fom(self.ops, mu, self.grid, self.c0)
             rm, added = enrich(rm, traj, self.ops, energy_tol=cfg.enrich_energy_tol,
                                max_modes=cfg.enrich_max_modes)
-            work["fom_solves"] = 1
             if added == 0:
                 logger.warning("enrichment stagnated at mu=%s (trajectory already in span); "
                                "returning the FOM answer anyway", mu)
-                work["stagnated"] = 1
+                stagnated = 1
         train.add(mu, answer, "RB" if f_rb is not None else "FOM")
         if len(train) > len(self.train) and len(train) % cfg.retrain_every == 0:
-            surrogate = train
-        return answer, (rm, train, surrogate)
+            surrogate = Surrogate(train, self.kernel_config, self.counters["fits"])
+        return answer, (rm, train, surrogate), stagnated
 
-    def _commit(self, work: dict[str, int], learned: tuple) -> None:
+    def _commit(self, counts: dict[str, int], learned: tuple) -> None:
         """The one place controller state is written: counters, then what was learned."""
-        for key, n in work.items():
-            self.counters[key] += n
+        for key, n in counts.items():
+            self._counts[key] += n
         self.rm, self.train, self._surrogate = learned
 
 

@@ -54,14 +54,14 @@ class KernelConfig:
     criterion: str = "f"
 
     def __post_init__(self):
-        if self.shape <= 0.0:
-            raise ValueError("shape must be positive")
+        if not 0.0 < self.shape < math.inf:
+            raise ValueError("shape must be positive and finite")
         if self.max_centers < 1:
             raise ValueError("max_centers must be >= 1")
-        if self.greedy_tol is not None and self.greedy_tol < 0.0:
-            raise ValueError("greedy_tol must be nonnegative")
-        if self.nugget < 0.0:
-            raise ValueError("nugget must be nonnegative")
+        if self.greedy_tol is not None and not 0.0 <= self.greedy_tol < math.inf:
+            raise ValueError("greedy_tol must be nonnegative and finite")
+        if not 0.0 <= self.nugget < math.inf:
+            raise ValueError("nugget must be nonnegative and finite")
         if self.criterion not in ("f", "p"):
             raise ValueError(f"criterion must be one of f, p; got {self.criterion!r}")
 

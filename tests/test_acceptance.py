@@ -201,7 +201,7 @@ def test_criterion_5_certificate_rigor_after_sweep(desk_fom):
         )
         cert = state.certify(mu)
         _, f_h = solve_fom(ops, mu, grid, state.c0)
-        f_ml = state.ml_answer(mu)
+        f_ml = predict(state.model, mu)
         true_err = qoi_norm(QoiVector(f_h.values - f_ml.values, grid.dt))
         if true_err > cert.value + 1e-10:
             violations += 1

@@ -149,6 +149,21 @@ def test_sweep_config_rejects_invalid_fields(kwargs):
         SweepConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "make, name",
+    [(HierarchyConfig, "rom_tol"), (HierarchyConfig, "validation_slack"),
+     (lambda **kw: KernelConfig(ParameterBox(), **kw), "shape"),
+     (lambda **kw: KernelConfig(ParameterBox(), **kw), "nugget"),
+     (lambda **kw: KernelConfig(ParameterBox(), **kw), "greedy_tol")],
+    ids=["rom_tol", "validation_slack", "shape", "nugget", "greedy_tol"],
+)
+def test_python_api_rejects_non_finite_fields(make, name, value):
+    # the message starts with the field name, as parse_config's line lookup needs
+    with pytest.raises(ValueError, match=f"^{name} "):
+        make(**{name: value})
+
+
 def _shipped(n_cells=256, n_steps=256, **hierarchy):
     """The RunConfig that the shipped desk config and its variants spell out."""
     box = ParameterBox(da_min=0.1, da_max=10.0, pe_min=1.0, pe_max=100.0)

@@ -155,6 +155,14 @@ def test_mesh_and_grid_validation():
         ParameterBox(da_min=-1.0)
     with pytest.raises(ValueError):
         ParameterBox(pe_min=0.0)
+    # non-finite values, which the .ini parser rejects too
+    for t_end in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^t_end "):
+            TimeGrid(t_end, 10)
+    for name in ("da_min", "da_max", "pe_min", "pe_max"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                ParameterBox(**{name: value})
 
 
 # -- qoi norm -----------------------------------------------------------------

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+import hiermor.hierarchy as hierarchy_mod
 from hiermor import (
     AdaptiveHierarchy,
     HierarchyConfig,
@@ -17,11 +18,13 @@ from hiermor import (
     QoiVector,
     TimeGrid,
     assemble,
+    estimate,
+    predict,
     qoi_norm,
     solve_fom,
+    solve_rb,
 )
 from hiermor.hierarchy import write_query_log, CSV_COLUMNS
-from hiermor.kernel import TrainingSet
 
 
 def make_state(n_cells=32, n_steps=32, box=None, **hier_kwargs):
@@ -188,7 +191,8 @@ def test_certificate_of_zero_model_is_delta_plus_rb_norm():
     state.query(mu)  # build a basis so f_rb is nonzero
     assert state.model is None
     cert = state.certify(mu)
-    f_rb, delta = state.rb_answer(mu)
+    traj, f_rb = solve_rb(state.rm, mu, state.grid)
+    delta = estimate(state.rm, mu, traj, state.grid).delta_rb
     assert cert.value == pytest.approx(delta + qoi_norm(f_rb), rel=1e-12)
 
 
@@ -215,7 +219,7 @@ def test_certificate_bounds_true_ml_error():
     for mu in sweep_mus(box, 20, seed=7):
         cert = state.certify(mu)
         _, f_h = solve_fom(state.ops, mu, state.grid, state.c0)
-        f_ml = state.ml_answer(mu)
+        f_ml = predict(state.model, mu)
         true_err = qoi_norm(QoiVector(f_h.values - f_ml.values, f_h.dt))
         assert true_err <= cert.value + 1e-10
 
@@ -251,8 +255,6 @@ def test_retrain_schedule():
 def test_fits_count_only_the_refits_read(monkeypatch):
     # the desk schedule: a refit falls due at 10, 20, 30, 40 and 50 points, and
     # only the last one is ever read, by the ML answers that trust starts at 50
-    import hiermor.hierarchy as hierarchy_mod
-
     box = ParameterBox(pe_max=10.0)
     state = make_state(box=box, retrain_every=10, trust_threshold=50)
     fit, fitted = hierarchy_mod.fit, []
@@ -291,7 +293,7 @@ def test_replacement_makes_no_refit_due_at_retrain_every_one():
     model = state.model
     assert model is not None and state.counters["fits"] == 1
     assert state.query(mu)[1].model_used == "RB"
-    assert len(state.train) == 1 and state._surrogate is model
+    assert len(state.train) == 1
     assert state.model is model and state.counters["fits"] == 1
 
 
@@ -305,9 +307,7 @@ def test_fit_failure_keeps_previous_model(monkeypatch):
     assert previous is not None
     state.query(ParameterPoint(2.0, 6.0))  # not yet trusted: learned, a refit is due
     rm, train, counters = state.rm, state.train, dict(state.counters)
-    assert state._surrogate is train and len(train) == 2
-
-    import hiermor.hierarchy as hierarchy_mod
+    assert len(train) == 2 and counters["fits"] == 1
 
     def broken_fit(train, config):
         raise RuntimeError("synthetic fit failure")
@@ -319,19 +319,17 @@ def test_fit_failure_keeps_previous_model(monkeypatch):
             state.query(mu)
         with pytest.raises(RuntimeError, match="synthetic"):
             state.model
-    assert state._surrogate is train
     assert state.rm is rm and state.train is train and len(state.train) == 2
     assert state.counters == counters and state._next_index == 3
     _, record = state.query(mu)
     assert record.index == 3 and record.model_used == "ML"
-    assert state.model is not previous and state._surrogate is state.model
+    model = state.model
+    assert model is not previous and state.model is model
     assert state.counters["fits"] == counters["fits"] + 1
 
 
 @pytest.mark.parametrize("target", ["solve_fom", "enrich", "fit"])
 def test_failing_fom_branch_leaves_state_unchanged(monkeypatch, target):
-    import hiermor.hierarchy as hierarchy_mod
-
     def broken(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
@@ -343,17 +341,17 @@ def test_failing_fom_branch_leaves_state_unchanged(monkeypatch, target):
     state.query(ParameterPoint(1.0, 10.0))
     mu = ParameterPoint(5.0, 2.0)
     rm, train, counters = state.rm, state.train, dict(state.counters)
-    assert state._surrogate is train
+    assert counters["fits"] == 0
     with monkeypatch.context() as patch:
         patch.setattr(hierarchy_mod, target, broken)
         with pytest.raises(RuntimeError, match="synthetic"):
             state.query(mu)
-    # nothing is committed, not even the fit and the RB solve that preceded
-    # the failure
-    assert state.counters == counters
+    # nothing is committed, not even the RB solve that preceded the failure; a
+    # fit that succeeded before it stays cached on the due surrogate, and the
+    # retry reads it instead of fitting again
+    assert state.counters == {**counters, "fits": int(target != "fit")}
     assert state.rm is rm and state.rm.dim == rm.dim
     assert state.train is train and len(state.train) == 1
-    assert state._surrogate is train
     assert state._next_index == 2
     _, record = state.query(mu)
     assert record.index == 2 and record.model_used == "FOM"
@@ -438,13 +436,20 @@ STATEFUL_POINTS = st.sampled_from(
 
 
 def _snapshot(state):
-    """The stored fields; reading `state.model` would fit a due refit."""
-    return (dict(state.counters), state.rm, state.train, [id(e) for e in state.train],
+    """The stored fields, and every counter but `fits`: a read may fit a due refit."""
+    counters = {key: n for key, n in state.counters.items() if key != "fits"}
+    return (counters, state.rm, state.train, [id(e) for e in state.train],
             state._surrogate, state._next_index)
 
 
+def _refit_due(state):
+    """A refit fell due and no read has fitted it yet."""
+    return state._surrogate is not None and "model" not in vars(state._surrogate)
+
+
 class QueryLadderMachine(RuleBasedStateMachine):
-    """In-box queries mixed with queries failing inside a layer or outside the box."""
+    """In-box queries mixed with reads and with queries failing inside a layer
+    or outside the box; `fit` is counted for the machine's lifetime."""
 
     mode = "size_threshold"
 
@@ -453,6 +458,23 @@ class QueryLadderMachine(RuleBasedStateMachine):
         self.state = make_state(n_cells=16, n_steps=16, box=STATEFUL_BOX, trust_mode=self.mode,
                                 trust_threshold=6, retrain_every=1)
         self.next_index = 1
+        self.fits_made = 0
+        fit = hierarchy_mod.fit
+
+        def counting_fit(*args):
+            model = fit(*args)
+            self.fits_made += 1
+            return model
+
+        self.fit_patch = mock.patch.object(hierarchy_mod, "fit", counting_fit)
+        self.fit_patch.start()
+
+    def teardown(self):
+        self.fit_patch.stop()
+
+    @invariant()
+    def each_fit_counted_once(self):
+        assert self.state.counters["fits"] == self.fits_made
 
     def _check(self, record):
         cfg = self.state.config
@@ -469,8 +491,6 @@ class QueryLadderMachine(RuleBasedStateMachine):
 
     @rule(mu=STATEFUL_POINTS, layer=st.sampled_from(["solve_fom", "enrich", "fit"]))
     def failing_query(self, mu, layer):
-        import hiermor.hierarchy as hierarchy_mod
-
         before = _snapshot(self.state)
         with mock.patch.object(hierarchy_mod, layer, side_effect=RuntimeError("synthetic")):
             try:
@@ -480,13 +500,11 @@ class QueryLadderMachine(RuleBasedStateMachine):
                 return
         self._check(record)  # the answering tier never reached the broken layer
 
-    @precondition(lambda self: isinstance(self.state._surrogate, TrainingSet))
+    @precondition(lambda self: _refit_due(self.state))
     @rule(mu=STATEFUL_POINTS)
     def failing_fit_read(self, mu):
         """A due refit that fails changes nothing: in the query that reads
         it, or in a `model` read where the next query would not read it."""
-        import hiermor.hierarchy as hierarchy_mod
-
         cfg = self.state.config
         reads = cfg.trust_mode == "always_validate" or (
             cfg.trust_mode == "size_threshold" and len(self.state.train) >= cfg.trust_threshold)
@@ -496,12 +514,14 @@ class QueryLadderMachine(RuleBasedStateMachine):
                 self.state.query(mu) if reads else self.state.model
         assert _snapshot(self.state) == before
 
-    @rule()
-    def read_model(self):
-        fits, due = self.state.counters["fits"], isinstance(self.state._surrogate, TrainingSet)
+    @rule(mu=STATEFUL_POINTS)
+    def read(self, mu):
+        """`model` and `certify` write nothing; a due refit is fitted once."""
+        before = _snapshot(self.state)
         model = self.state.model
-        assert self.state.counters["fits"] == fits + due
-        assert self.state._surrogate is model and self.state.model is model
+        self.state.certify(mu)
+        assert self.state.model is model
+        assert _snapshot(self.state) == before
 
     @rule()
     def outside_query(self):
