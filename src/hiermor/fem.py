@@ -170,10 +170,10 @@ class FomOperators:
     mass + diffusion used for all orthogonality and dual norms.
 
     Treated as immutable after assembly (solvers for distinct parameters may
-    share one instance).  `ip_bands`, `ip_factor` and `coercivity` are
-    computed on first use and cached on the instance, so ip's bands are read
-    and checked once for its factor and both coercivity pencils; a
-    `dataclasses.replace`d set reads its own.
+    share one instance).  `bands`, `ip_bands`, `ip_factor` and `coercivity`
+    are computed on first use and cached on the instance, so each matrix's
+    bands are read once, ip's checked once for its factor and both
+    coercivity pencils; a `dataclasses.replace`d set reads its own.
     """
 
     mass: sp.csr_matrix
@@ -183,6 +183,17 @@ class FomOperators:
     ip: sp.csr_matrix
     n_dofs: int
     inflow_value: float
+
+    @cached_property
+    def bands(self) -> np.ndarray:
+        """Read-only (4, 3, n_dofs) bands of mass and the blocks in theta
+        order: rows sub-, main and superdiagonal, the off-diagonals padded
+        with a trailing 0, read once per operator set for `solve_fom`."""
+        bands = np.zeros((4, 3, self.n_dofs))
+        for mat, out in zip((self.mass, *self.blocks), bands):
+            out[0, :-1], out[1], out[2, :-1] = mat.diagonal(-1), mat.diagonal(), mat.diagonal(1)
+        bands.flags.writeable = False
+        return bands
 
     @cached_property
     def ip_bands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -263,13 +274,18 @@ class IpFactor:
         full solve and no squared Gram matrix."""
         return self._solve(rhs, "L") / self.root_d[:, None]
 
+    @cached_property
+    def _tbtrs_bands(self) -> dict[str, np.ndarray]:
+        """L's band storage for TBTRS by `uplo`, L itself ("L") and L^T ("U"),
+        Fortran-ordered as the wrapper reads it."""
+        ones, sub = np.ones(self.root_d.size), np.append(self.sub, 0.0)
+        return {"L": np.asfortranarray([ones, sub]), "U": np.asfortranarray([np.roll(sub, 1), ones])}
+
     def _solve(self, rhs: np.ndarray, uplo: str) -> np.ndarray:
         """L^-1 rhs ("L") or L^-T rhs ("U") by one banded LAPACK TBTRS."""
         if rhs.shape[1] == 0:  # scipy's TBTRS wrapper corrupts the heap given no columns
             return np.zeros(rhs.shape)
-        ones, sub = np.ones(self.root_d.size), np.append(self.sub, 0.0)
-        band = np.vstack([ones, sub] if uplo == "L" else [np.roll(sub, 1), ones])
-        return dtbtrs(band, rhs, uplo=uplo, diag="U")[0]
+        return dtbtrs(self._tbtrs_bands[uplo], rhs, uplo=uplo, diag="U")[0]
 
 
 # Relative width at which the coercivity bisection stops: its bracket [lo, hi]
@@ -401,6 +417,20 @@ def load_vector(ops: FomOperators, mu: ParameterPoint) -> np.ndarray:
     return affine(theta(mu), ops.loads)
 
 
+def _step_bands(ops: FomOperators, mu: ParameterPoint, dt: float) -> np.ndarray:
+    """The bands of mass + dt A(mu), laid out as `FomOperators.bands`, formed
+    as mass + dt ((theta_0 A_0 + theta_1 A_1) + theta_2 A_2): entry by entry
+    the operations, and so the bits, of `ops.mass + dt * system_matrix(ops, mu)`."""
+    th = theta(mu)
+    mass, a0, a1, a2 = ops.bands
+    step = th[0] * a0
+    step += th[1] * a1
+    step += th[2] * a2
+    step *= dt
+    step += mass
+    return step
+
+
 def solve_fom(
     ops: FomOperators,
     mu: ParameterPoint,
@@ -410,9 +440,10 @@ def solve_fom(
 ) -> tuple[Trajectory, QoiVector]:
     """March (mass + dt A(mu)) c^n = mass c^{n-1} + dt (b(mu) + source(t_n)).
 
-    The tridiagonal step matrix is factorized once by LAPACK GTTRF; each step
-    forms its right-hand side from the mass matrix's diagonals in place, in
-    the trajectory's next row, and solves there with GTTRS.  Raises
+    The step matrix's bands (`_step_bands`, no sparse sum) are factorized
+    once by LAPACK GTTRF.  Each step forms its right-hand side from the mass
+    bands in the trajectory's next row, with one preallocated buffer for
+    the off-diagonal products, and solves there with GTTRS.  Raises
     RuntimeError when the step matrix is exactly singular.  `source`, when
     given, must return an already assembled load vector; it is a hook for
     manufactured-solution studies and is None in production runs.
@@ -420,21 +451,21 @@ def solve_fom(
     if c0.shape != (ops.n_dofs,):
         raise ValueError("c0 has wrong length")
     dt = grid.dt
-    step_matrix = ops.mass + dt * system_matrix(ops, mu)
-    dl, d, du, du2, ipiv, info = dgttrf(
-        step_matrix.diagonal(-1), step_matrix.diagonal(), step_matrix.diagonal(1))
+    step = _step_bands(ops, mu, dt)
+    dl, d, du, du2, ipiv, info = dgttrf(step[0, :-1], step[1], step[2, :-1])
     if info > 0:
         raise RuntimeError("full-order step matrix is singular")
     dt_b = dt * load_vector(ops, mu)
-    m_diag, m_off = ops.mass.diagonal(), ops.mass.diagonal(1)  # mass is symmetric
+    m_diag, m_off = ops.bands[0, 1], ops.bands[0, 2, :-1]  # mass is symmetric
 
     coeffs = np.empty((grid.n_steps + 1, ops.n_dofs))
     coeffs[0] = c0
+    off = np.empty(ops.n_dofs - 1)
     for k, t in enumerate(grid.times()):
         c, rhs = coeffs[k], coeffs[k + 1]
         np.multiply(m_diag, c, out=rhs)
-        rhs[1:] += m_off * c[:-1]
-        rhs[:-1] += m_off * c[1:]
+        rhs[1:] += np.multiply(m_off, c[:-1], out=off)
+        rhs[:-1] += np.multiply(m_off, c[1:], out=off)
         rhs += dt_b
         if source is not None:
             rhs += dt * source(t)

@@ -14,10 +14,12 @@ formed.  Returned modes are H-orthonormal and deterministically signed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .fem import IpFactor
 
@@ -27,7 +29,7 @@ __all__ = ["PodBasis", "pod", "hapod", "h_orthonormalize"]
 RANK_CUTOFF = 1e-12
 # Sketch columns beyond the requested rank, and the seed of the Gaussian
 # sketch (Halko, Martinsson & Tropp 2011, SIAM Rev. 53(2), sec. 4).  Each
-# call draws from its own generator, so no other random state moves its bits.
+# sketch is drawn from its own generator, so no other random state moves its bits.
 OVERSAMPLING = 10
 SKETCH_SEED = 20110531
 
@@ -64,6 +66,48 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
+def _draw_sketch(m: int, width: int) -> np.ndarray:
+    """The (m, width) Gaussian sketch, from a generator seeded SKETCH_SEED."""
+    return np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
+
+
+@lru_cache(maxsize=8)
+def _cached_sketch(m: int, width: int) -> np.ndarray:
+    """`_draw_sketch(m, width)`, drawn once and read-only.  Only rank-capped
+    sketches come here, at most m x (rank + OVERSAMPLING) each; HAPOD's
+    full-width ones are drawn per call and never kept."""
+    sketch = _draw_sketch(m, width)
+    sketch.flags.writeable = False
+    return sketch
+
+
+@lru_cache(maxsize=64)
+def _qr_lwork(m: int, n: int) -> tuple[int, int]:
+    """The DGEQRF and DORGQR workspace sizes `la.qr` queries for an (m, n) input."""
+    k = min(m, n)
+    geqrf_work = dgeqrf(np.empty((m, n), order="F"), lwork=-1)[2]
+    orgqr_work = dorgqr(np.empty((m, k), order="F"), np.empty(k), lwork=-1)[1]
+    return int(geqrf_work[0]), int(orgqr_work[0])
+
+
+def _qr(a: np.ndarray, with_q: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """Q and R of `la.qr(a, mode="economic")`, bit for bit and with its
+    finiteness check, from one DGEQRF and one DORGQR whose workspace sizes
+    are queried once per shape.  Without `with_q`, Q is None and DORGQR is
+    skipped."""
+    a = np.asarray_chkfinite(a)
+    m, n = a.shape
+    k = min(m, n)
+    if k == 0:
+        return np.empty((m, 0)), np.empty((0, n))
+    geqrf_lwork, orgqr_lwork = _qr_lwork(m, n)
+    qr, tau = dgeqrf(a, lwork=geqrf_lwork)[:2]
+    r = np.triu(qr[:k])
+    if not with_q:
+        return None, r
+    return dorgqr(qr[:, :k], tau, lwork=orgqr_lwork, overwrite_a=1)[0], r
+
+
 def _mapped_out(factor, u: np.ndarray, sigma: np.ndarray) -> PodBasis:
     """The basis of coordinate modes u, mapped out and signed."""
     return PodBasis(_fix_signs(factor.from_coords(u)), sigma)
@@ -83,12 +127,12 @@ def h_orthonormalize(
     """
     factor = _factor(ip)
     y = factor.coords(vectors)
-    q, r = la.qr(y, mode="economic")
+    q, r = _qr(y)
     reach = np.abs(np.diag(r))
     refs = np.linalg.norm(y[:, : reach.size], axis=0)
     kept = np.flatnonzero(reach > drop_tol * np.maximum(refs, 1.0)).tolist()
     if len(kept) < y.shape[1]:
-        q, r = la.qr(y[:, kept], mode="economic")
+        q, r = _qr(y[:, kept])
     q[:, np.diag(r) < 0.0] *= -1.0
     return factor.from_coords(q), kept
 
@@ -114,17 +158,18 @@ def _pod_impl(y: np.ndarray, rank: int | None, energy_tol: float | None,
     coordinates Y, truncated: a randomized range finder (Halko, Martinsson &
     Tropp, Alg. 4.4 with one power iteration), then the SVD of the small
     block B = Q^T Y.  The truncation reads the exact tail ||Y - Q B||_F^2 +
-    sum_{i>r} sigma_i^2, so the energy rule holds a posteriori."""
+    sum_{i>r} sigma_i^2, so the energy rule holds a posteriori.  A
+    rank-capped sketch is drawn once per shape and then read from a cache."""
     n, m = y.shape
     if m == 0:
         return np.zeros((n, 0)), np.zeros(0)
     width = min(n, m) if rank is None else min(n, m, rank + OVERSAMPLING)
-    sketch = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
-    q = la.qr(y @ sketch, mode="economic")[0]
-    q = la.qr(y @ la.qr(y.T @ q, mode="economic")[0], mode="economic")[0]
+    sketch = _draw_sketch(m, width) if rank is None else _cached_sketch(m, width)
+    q = _qr(y @ sketch)[0]
+    q = _qr(y @ _qr(y.T @ q)[0])[0]
     b = q.T @ y
-    u, sigma, _ = la.svd(b, full_matrices=False)
     resid = y.T - b.T @ q.T  # in Y's order: a mixed-order difference is a slow transpose
+    u, sigma, _ = la.svd(b, full_matrices=False)
     r = _truncation_rank(sigma, float(np.einsum("ij,ij->", resid, resid)),
                          rank, energy_tol, abs_tail)
     return q @ u[:, :r], sigma[:r]

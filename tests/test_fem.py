@@ -305,6 +305,52 @@ def test_factorization_reuse_is_bitwise_identical(small_problem):
     assert np.array_equal(qoi.values, np.vstack(rows)[1:] @ ops.output)
 
 
+def _box_corners_and_interior():
+    box = ParameterBox()
+    return [*box.corners(), ParameterPoint(2.0, 30.0)]
+
+
+@pytest.mark.parametrize("mu", _box_corners_and_interior(), ids=str)
+def test_step_bands_have_the_bits_of_the_sparse_step_matrix(desk_problem, mu):
+    ops, grid = desk_problem
+    step = fem._step_bands(ops, mu, grid.dt)
+    want = ops.mass + grid.dt * system_matrix(ops, mu)
+    for k, band in zip((-1, 0, 1), (step[0, :-1], step[1], step[2, :-1])):
+        assert band.tobytes() == want.diagonal(k).tobytes()
+
+
+def test_solve_fom_does_not_build_the_sparse_step_matrix(small_problem, monkeypatch):
+    ops, grid = small_problem
+    mu = ParameterPoint(2.0, 30.0)
+    traj, qoi = solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
+
+    def refuse(*args):
+        raise AssertionError("solve_fom built the sparse system matrix")
+
+    monkeypatch.setattr(fem, "system_matrix", refuse)
+    again, again_qoi = solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
+    assert np.array_equal(again.coeffs, traj.coeffs) and np.array_equal(again_qoi.values, qoi.values)
+
+
+def test_bands_are_read_once_per_operator_set():
+    ops, grid = assemble(MeshSpec(16)), TimeGrid(1.0, 8)
+    bands = ops.bands
+    assert ops.bands is bands and not bands.flags.writeable
+    for mat, band in zip((ops.mass, *ops.blocks), bands):
+        assert np.array_equal(band[0, :-1], mat.diagonal(-1)) and band[0, -1] == 0.0
+        assert np.array_equal(band[1], mat.diagonal())
+        assert np.array_equal(band[2, :-1], mat.diagonal(1)) and band[2, -1] == 0.0
+    # a replaced mass is read anew, not taken from the original's cache
+    scaled = dataclasses.replace(ops, mass=(2.0 * ops.mass).tocsr())
+    assert np.array_equal(scaled.bands[0], 2.0 * bands[0])
+    assert np.array_equal(scaled.bands[1:], bands[1:])
+    mu = ParameterPoint(2.0, 30.0)
+    want = scaled.mass + grid.dt * system_matrix(scaled, mu)
+    assert np.array_equal(fem._step_bands(scaled, mu, grid.dt)[1], want.diagonal())
+    assert not np.array_equal(solve_fom(scaled, mu, grid, np.zeros(16))[0].coeffs,
+                              solve_fom(ops, mu, grid, np.zeros(16))[0].coeffs)
+
+
 def test_singular_step_matrix_raises(small_problem):
     ops, grid = small_problem
     zero = 0.0 * ops.mass

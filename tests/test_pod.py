@@ -5,8 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import scipy.linalg as la
+
 from hiermor import ParameterPoint, pod, hapod, solve_fom
-from hiermor.pod import RANK_CUTOFF, _fix_signs, h_orthonormalize
+from hiermor.pod import (RANK_CUTOFF, SKETCH_SEED, _cached_sketch, _fix_signs, _pod_impl, _qr,
+                         h_orthonormalize)
 
 
 def h_matrix(ops):
@@ -175,6 +178,71 @@ def test_pod_ignores_other_random_state(small_problem, reference_trajectory):
     np.random.default_rng().standard_normal(100)
     np.random.default_rng(0).standard_normal(100)
     assert _same_bits(first, pod(traj.coeffs.T, ops.ip, rank=25, energy_tol=1e-6))
+
+
+# -- the POD's pieces ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(40, 7), (257, 35), (9, 9), (1, 1)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_qr_has_the_bits_of_scipy_economic_qr(shape, order):
+    a = np.asarray(np.random.default_rng(61).standard_normal(shape), order=order)
+    q, r = _qr(a)
+    want_q, want_r = la.qr(a, mode="economic")
+    assert q.shape == want_q.shape and q.tobytes() == want_q.tobytes()
+    assert r.shape == want_r.shape and r.tobytes() == want_r.tobytes()
+    assert _qr(a, with_q=False)[0] is None
+    assert _qr(a, with_q=False)[1].tobytes() == want_r.tobytes()
+
+
+def test_qr_handles_wide_and_empty_inputs():
+    wide = np.random.default_rng(67).standard_normal((4, 9))
+    q, r = _qr(wide)
+    want_q, want_r = la.qr(wide, mode="economic")
+    assert q.shape == (4, 4) and r.shape == (4, 9)
+    assert np.array_equal(q, want_q) and np.array_equal(r, want_r)
+    for shape in ((6, 0), (0, 3), (0, 0)):
+        want_q, want_r = la.qr(np.zeros(shape), mode="economic")
+        q, r = _qr(np.zeros(shape))
+        assert q.shape == want_q.shape and r.shape == want_r.shape
+    bad = wide.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _qr(bad)
+
+
+def test_cached_sketch_is_read_only_and_a_fresh_seeded_draw():
+    _cached_sketch.cache_clear()
+    sketch = _cached_sketch(57, 12)
+    assert not sketch.flags.writeable
+    fresh = np.random.default_rng(SKETCH_SEED).standard_normal((57, 12))
+    assert sketch.tobytes() == fresh.tobytes()
+    assert _cached_sketch(57, 12) is sketch
+    with pytest.raises(ValueError):
+        sketch[0, 0] = 1.0
+
+
+def test_pod_impl_bits_do_not_depend_on_the_sketch_cache(small_problem, reference_trajectory):
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    y = ops.ip_factor.coords(traj.coeffs.T)
+    _cached_sketch.cache_clear()
+    cold = _pod_impl(y, 10, 1e-8, None)
+    assert _cached_sketch.cache_info().currsize == 1
+    warm = _pod_impl(y, 10, 1e-8, None)
+    assert _cached_sketch.cache_info().hits == 1
+    for a, b in zip(cold, warm):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_hapod_keeps_no_full_width_sketch(small_problem, reference_trajectory):
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    _cached_sketch.cache_clear()
+    assert hapod(np.array_split(traj.coeffs.T, 3, axis=1), ops.ip).dim > 0
+    assert _cached_sketch.cache_info().currsize == 0
+    pod(traj.coeffs.T, ops.ip, rank=5)
+    assert _cached_sketch.cache_info().currsize == 1
 
 
 IP_USERS = {
