@@ -137,6 +137,17 @@ def h_orthonormalize(
     return factor.from_coords(q), kept
 
 
+def _left_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values of a (w, m) B, w <= m.
+
+    With the QR B^T = Q_B R, B = R^T Q_B^T has the singular values and left
+    vectors of the w x w R^T, so one DGEQRF of B^T (Fortran-ordered for a
+    C-ordered B) and a square SVD replace a wide one, and nothing is
+    squared."""
+    u, sigma, _ = la.svd(_qr(b.T, with_q=False)[1].T)
+    return u, sigma
+
+
 def _truncation_rank(sigma: np.ndarray, resid_sq: float, rank: int | None,
                      energy_tol: float | None, abs_tail: float | None) -> int:
     """Number of modes to keep given the (descending) singular values of the
@@ -157,9 +168,10 @@ def _pod_impl(y: np.ndarray, rank: int | None, energy_tol: float | None,
     """Left singular vectors and singular values of the Fortran-ordered
     coordinates Y, truncated: a randomized range finder (Halko, Martinsson &
     Tropp, Alg. 4.4 with one power iteration), then the SVD of the small
-    block B = Q^T Y.  The truncation reads the exact tail ||Y - Q B||_F^2 +
-    sum_{i>r} sigma_i^2, so the energy rule holds a posteriori.  A
-    rank-capped sketch is drawn once per shape and then read from a cache."""
+    block B = Q^T Y by `_left_svd`.  The truncation reads the exact tail
+    ||Y - Q B||_F^2 + sum_{i>r} sigma_i^2, so the energy rule holds a
+    posteriori.  A rank-capped sketch is drawn once per shape and then read
+    from a cache."""
     n, m = y.shape
     if m == 0:
         return np.zeros((n, 0)), np.zeros(0)
@@ -168,8 +180,12 @@ def _pod_impl(y: np.ndarray, rank: int | None, energy_tol: float | None,
     q = _qr(y @ sketch)[0]
     q = _qr(y @ _qr(y.T @ q)[0])[0]
     b = q.T @ y
-    resid = y.T - b.T @ q.T  # in Y's order: a mixed-order difference is a slow transpose
-    u, sigma, _ = la.svd(b, full_matrices=False)
+    # Y^T - B^T Q^T in Y's order (a mixed-order difference is a slow
+    # transpose), in the product's buffer: a second n x m temporary costs
+    # more in fresh pages than the subtraction itself
+    resid = b.T @ q.T
+    np.subtract(y.T, resid, out=resid)
+    u, sigma = _left_svd(b)
     r = _truncation_rank(sigma, float(np.einsum("ij,ij->", resid, resid)),
                          rank, energy_tol, abs_tail)
     return q @ u[:, :r], sigma[:r]

@@ -318,7 +318,8 @@ def enrich(
     factor = ops.ip_factor
     y = factor.coords(fom_traj.coeffs.T)
     phi_y = factor.coords(rm.basis.modes)
-    err_t = y.T - (phi_y.T @ y).T @ phi_y.T  # transposed, so the error keeps Y's order
+    err_t = (phi_y.T @ y).T @ phi_y.T  # transposed, so the error keeps Y's order,
+    np.subtract(y.T, err_t, out=err_t)  # and in the product's buffer, as in `pod`
     if np.einsum("ij,ij->", err_t, err_t) <= CONTAINMENT_RTOL**2 * np.einsum("ij,ij->", y, y):
         return rm, 0
 

@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 import scipy.linalg as la
 
 from hiermor import ParameterPoint, pod, hapod, solve_fom
-from hiermor.pod import (RANK_CUTOFF, SKETCH_SEED, _cached_sketch, _fix_signs, _pod_impl, _qr,
-                         h_orthonormalize)
+from hiermor.pod import (RANK_CUTOFF, SKETCH_SEED, _cached_sketch, _fix_signs, _left_svd,
+                         _pod_impl, _qr, h_orthonormalize)
 
 
 def h_matrix(ops):
@@ -233,6 +233,28 @@ def test_pod_impl_bits_do_not_depend_on_the_sketch_cache(small_problem, referenc
     assert _cached_sketch.cache_info().hits == 1
     for a, b in zip(cold, warm):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _small_blocks(ops, traj):
+    """B = Q^T Y of a trajectory's range finder, and a Gaussian B."""
+    y = ops.ip_factor.coords(traj.coeffs.T)
+    q = _qr(y @ _cached_sketch(y.shape[1], 12))[0]
+    yield q.T @ y
+    yield np.random.default_rng(71).standard_normal((12, 57))
+
+
+def test_left_svd_matches_the_wide_svd(small_problem, reference_trajectory):
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    for b in _small_blocks(ops, traj):
+        u, sigma = _left_svd(b)
+        want_u, want_sigma, _ = la.svd(b, full_matrices=False)
+        assert u.shape == want_u.shape == (12, 12)
+        assert np.allclose(sigma, want_sigma, rtol=1e-12, atol=0)
+        # every leading block of modes spans the space the wide SVD's does
+        for r in range(1, 13):
+            proj = u[:, :r] @ u[:, :r].T - want_u[:, :r] @ want_u[:, :r].T
+            assert np.linalg.norm(proj, 2) <= 1e-10
 
 
 def test_hapod_keeps_no_full_width_sketch(small_problem, reference_trajectory):
