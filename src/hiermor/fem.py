@@ -279,7 +279,8 @@ class IpFactor:
         """L's band storage for TBTRS by `uplo`, L itself ("L") and L^T ("U"),
         Fortran-ordered as the wrapper reads it."""
         ones, sub = np.ones(self.root_d.size), np.append(self.sub, 0.0)
-        return {"L": np.asfortranarray([ones, sub]), "U": np.asfortranarray([np.roll(sub, 1), ones])}
+        return {"L": np.asfortranarray([ones, sub]),
+                "U": np.asfortranarray([np.roll(sub, 1), ones])}
 
     def _solve(self, rhs: np.ndarray, uplo: str) -> np.ndarray:
         """L^-1 rhs ("L") or L^-T rhs ("U") by one banded LAPACK TBTRS."""

@@ -66,17 +66,13 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
-def _draw_sketch(m: int, width: int) -> np.ndarray:
-    """The (m, width) Gaussian sketch, from a generator seeded SKETCH_SEED."""
-    return np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
-
-
 @lru_cache(maxsize=8)
-def _cached_sketch(m: int, width: int) -> np.ndarray:
-    """`_draw_sketch(m, width)`, drawn once and read-only.  Only rank-capped
-    sketches come here, at most m x (rank + OVERSAMPLING) each; HAPOD's
-    full-width ones are drawn per call and never kept."""
-    sketch = _draw_sketch(m, width)
+def _sketch(m: int, width: int) -> np.ndarray:
+    """The read-only (m, width) Gaussian sketch from a generator seeded
+    SKETCH_SEED.  The cache holds rank-capped sketches, m x (rank +
+    OVERSAMPLING) at most; HAPOD's full-width ones are drawn through
+    `_sketch.__wrapped__`, so none is kept."""
+    sketch = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
     sketch.flags.writeable = False
     return sketch
 
@@ -99,7 +95,7 @@ def _qr(a: np.ndarray, with_q: bool = True) -> tuple[np.ndarray | None, np.ndarr
     m, n = a.shape
     k = min(m, n)
     if k == 0:
-        return np.empty((m, 0)), np.empty((0, n))
+        return np.empty((m, 0)) if with_q else None, np.empty((0, n))
     geqrf_lwork, orgqr_lwork = _qr_lwork(m, n)
     qr, tau = dgeqrf(a, lwork=geqrf_lwork)[:2]
     r = np.triu(qr[:k])
@@ -176,7 +172,7 @@ def _pod_impl(y: np.ndarray, rank: int | None, energy_tol: float | None,
     if m == 0:
         return np.zeros((n, 0)), np.zeros(0)
     width = min(n, m) if rank is None else min(n, m, rank + OVERSAMPLING)
-    sketch = _draw_sketch(m, width) if rank is None else _cached_sketch(m, width)
+    sketch = _sketch.__wrapped__(m, width) if rank is None else _sketch(m, width)
     q = _qr(y @ sketch)[0]
     q = _qr(y @ _qr(y.T @ q)[0])[0]
     b = q.T @ y

@@ -329,7 +329,8 @@ def test_solve_fom_does_not_build_the_sparse_step_matrix(small_problem, monkeypa
 
     monkeypatch.setattr(fem, "system_matrix", refuse)
     again, again_qoi = solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
-    assert np.array_equal(again.coeffs, traj.coeffs) and np.array_equal(again_qoi.values, qoi.values)
+    assert np.array_equal(again.coeffs, traj.coeffs)
+    assert np.array_equal(again_qoi.values, qoi.values)
 
 
 def test_bands_are_read_once_per_operator_set():

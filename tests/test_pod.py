@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 import scipy.linalg as la
 
 from hiermor import ParameterPoint, pod, hapod, solve_fom
-from hiermor.pod import (RANK_CUTOFF, SKETCH_SEED, _cached_sketch, _fix_signs, _left_svd,
-                         _pod_impl, _qr, h_orthonormalize)
+from hiermor.pod import (RANK_CUTOFF, SKETCH_SEED, _fix_signs, _left_svd, _pod_impl, _qr,
+                         _sketch, h_orthonormalize)
 
 
 def h_matrix(ops):
@@ -211,13 +211,13 @@ def test_qr_handles_wide_and_empty_inputs():
         _qr(bad)
 
 
-def test_cached_sketch_is_read_only_and_a_fresh_seeded_draw():
-    _cached_sketch.cache_clear()
-    sketch = _cached_sketch(57, 12)
+def test_sketch_is_read_only_and_a_fresh_seeded_draw():
+    _sketch.cache_clear()
+    sketch = _sketch(57, 12)
     assert not sketch.flags.writeable
     fresh = np.random.default_rng(SKETCH_SEED).standard_normal((57, 12))
     assert sketch.tobytes() == fresh.tobytes()
-    assert _cached_sketch(57, 12) is sketch
+    assert _sketch(57, 12) is sketch
     with pytest.raises(ValueError):
         sketch[0, 0] = 1.0
 
@@ -226,11 +226,11 @@ def test_pod_impl_bits_do_not_depend_on_the_sketch_cache(small_problem, referenc
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
     y = ops.ip_factor.coords(traj.coeffs.T)
-    _cached_sketch.cache_clear()
+    _sketch.cache_clear()
     cold = _pod_impl(y, 10, 1e-8, None)
-    assert _cached_sketch.cache_info().currsize == 1
+    assert _sketch.cache_info().currsize == 1
     warm = _pod_impl(y, 10, 1e-8, None)
-    assert _cached_sketch.cache_info().hits == 1
+    assert _sketch.cache_info().hits == 1
     for a, b in zip(cold, warm):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -238,7 +238,7 @@ def test_pod_impl_bits_do_not_depend_on_the_sketch_cache(small_problem, referenc
 def _small_blocks(ops, traj):
     """B = Q^T Y of a trajectory's range finder, and a Gaussian B."""
     y = ops.ip_factor.coords(traj.coeffs.T)
-    q = _qr(y @ _cached_sketch(y.shape[1], 12))[0]
+    q = _qr(y @ _sketch(y.shape[1], 12))[0]
     yield q.T @ y
     yield np.random.default_rng(71).standard_normal((12, 57))
 
@@ -260,11 +260,11 @@ def test_left_svd_matches_the_wide_svd(small_problem, reference_trajectory):
 def test_hapod_keeps_no_full_width_sketch(small_problem, reference_trajectory):
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
-    _cached_sketch.cache_clear()
+    _sketch.cache_clear()
     assert hapod(np.array_split(traj.coeffs.T, 3, axis=1), ops.ip).dim > 0
-    assert _cached_sketch.cache_info().currsize == 0
+    assert _sketch.cache_info().currsize == 0
     pod(traj.coeffs.T, ops.ip, rank=5)
-    assert _cached_sketch.cache_info().currsize == 1
+    assert _sketch.cache_info().currsize == 1
 
 
 IP_USERS = {
