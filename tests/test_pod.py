@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-
-import scipy.linalg as la
 
 from hiermor import ParameterPoint, pod, hapod, solve_fom
 from hiermor.pod import (RANK_CUTOFF, SKETCH_SEED, _fix_signs, _left_svd, _pod_impl, _qr,
