@@ -16,9 +16,10 @@ all stored matrices and vectors stay parameter independent:
 
     A(mu) = sum_q theta_q(mu) A_q,  b(mu) = sum_q theta_q(mu) b_q,  theta(mu) = (1/pe, 1, da).
 
-Every operator is tridiagonal, so the time stepping, the H inner product
-solves and the coercivity constants call the LAPACK tridiagonal routines on
-the matrices' diagonals; this module alone knows that format.
+Every operator is tridiagonal and is stored once, as its DIA bands
+(`FomOperators.bands`); the time stepping, the H inner product solves and the
+coercivity constants call the LAPACK tridiagonal routines on those bands.
+This module alone knows that format.
 """
 
 from __future__ import annotations
@@ -163,54 +164,55 @@ class Trajectory:
 class FomOperators:
     """Assembled, parameter-independent FEM blocks on the free nodes 1 .. n_cells.
 
-    All matrices are tridiagonal CSR of size n_dofs = n_cells, built by
-    `assemble` straight from their bands.  `blocks` are the affine terms A_q
-    in theta order (diffusion, advection, and reaction, equal to mass); row
-    q of `loads` (Q x n_dofs) is b_q.  `ip` is the discrete H1 inner product
-    mass + diffusion used for all orthogonality and dual norms.
+    Each operator is stored once, in the read-only (5, 3, n_dofs) `bands`: mass,
+    the affine terms A_q in theta order (diffusion, advection, and reaction,
+    equal to mass) and ip, the discrete H1 inner product mass + diffusion used
+    for all orthogonality and dual norms.  Each block is DIA data at offsets
+    (-1, 0, 1): the subdiagonal with its trailing entry unused, the diagonal,
+    and the superdiagonal with its leading entry unused.  `mass`, `blocks`
+    and `ip` are `sp.dia_matrix` views of that memory.  Row q of `loads`
+    (Q x n_dofs) is b_q.
 
     Treated as immutable after assembly (solvers for distinct parameters may
-    share one instance).  `bands`, `ip_bands`, `ip_factor` and `coercivity`
-    are computed on first use and cached on the instance, so each matrix's
-    bands are read once, ip's checked once for its factor and both
-    coercivity pencils; a `dataclasses.replace`d set reads its own.
+    share one instance).  `ip_factor` and `coercivity` are computed on first
+    use and cached on the instance; a `dataclasses.replace`d set computes its
+    own, and its own views.
     """
 
-    mass: sp.csr_matrix
-    blocks: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
+    bands: np.ndarray
     loads: np.ndarray
     output: np.ndarray
-    ip: sp.csr_matrix
-    n_dofs: int
-    inflow_value: float
 
-    @cached_property
-    def bands(self) -> np.ndarray:
-        """Read-only (4, 3, n_dofs) bands of mass and the blocks in theta
-        order: rows sub-, main and superdiagonal, the off-diagonals padded
-        with a trailing 0, read once per operator set for `solve_fom`."""
-        bands = np.zeros((4, 3, self.n_dofs))
-        for mat, out in zip((self.mass, *self.blocks), bands):
-            out[0, :-1], out[1], out[2, :-1] = mat.diagonal(-1), mat.diagonal(), mat.diagonal(1)
-        bands.flags.writeable = False
-        return bands
+    def __post_init__(self):
+        self.bands.flags.writeable = False
+        n = self.n_dofs
+        self.mass, *blocks, self.ip = (sp.dia_matrix((band, (-1, 0, 1)), shape=(n, n))
+                                       for band in self.bands)
+        self.blocks = tuple(blocks)
 
-    @cached_property
-    def ip_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """`tridiagonal(ip)`, read once per operator set."""
-        return tridiagonal(self.ip)
+    @property
+    def n_dofs(self) -> int:
+        return self.bands.shape[-1]
 
     @cached_property
     def ip_factor(self) -> IpFactor:
-        """ip's factor from `ip_bands`, factored once per operator set."""
-        return IpFactor.of_bands(*self.ip_bands)
+        """ip's factor, factored once per operator set."""
+        return IpFactor.of_bands(*_symmetric(self.bands[4]))
 
     @cached_property
     def coercivity(self) -> tuple[float, float]:
         """The pair `coercivity_constants` returns, computed once per operator set."""
-        diffusion, _, reaction = self.blocks
-        return (_pencil_min_eig(tridiagonal(diffusion), self.ip_bands),
-                _pencil_min_eig(tridiagonal(reaction), self.ip_bands))
+        ip = _symmetric(self.bands[4])
+        return (_pencil_min_eig(_symmetric(self.bands[1]), ip),
+                _pencil_min_eig(_symmetric(self.bands[3]), ip))
+
+
+def _symmetric(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Main and off-diagonal of one operator's bands; ValueError unless the
+    sub- and superdiagonal agree."""
+    if not np.array_equal(band[0, :-1], band[2, 1:]):
+        raise ValueError("matrix is not symmetric tridiagonal")
+    return band[1], band[0, :-1]
 
 
 def tridiagonal(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -327,9 +329,9 @@ def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
     end hi_0 (42 and 43 PTTRF calls on the shipped meshes, the first check
     included).  The value is lo, at which the factorization succeeded, so
     it stays a lower bound; at hi, a relative COERCIVITY_RTOL above it at
-    most, the factorization failed.  Each block's bands and ip's are read
-    and checked once per operator set.  Raises ValueError for an operator
-    that is not symmetric tridiagonal or not positive definite.
+    most, the factorization failed.  It reads the blocks' and ip's stored
+    bands.  Raises ValueError for an operator whose sub- and superdiagonal
+    differ or that is not positive definite.
     """
     return ops.coercivity
 
@@ -342,9 +344,10 @@ def theta(mu: ParameterPoint) -> tuple[float, float, float]:
 def affine(th, terms):
     """sum_q th[q] terms[q] in theta order, written out, for terms of any type.
 
-    Its callers are `system_matrix` and `load_vector` (sparse blocks and load
-    rows) and `rb.coercivity_lb` (scalars).  The RB online tier contracts its
-    stacked per-basis operands by one product instead.
+    Its callers are `system_matrix`, `solve_fom` and `load_vector` (sparse
+    blocks, their bands and load rows) and `rb.coercivity_lb` (scalars).
+    The RB online tier contracts its stacked per-basis operands by one
+    product instead.
     """
     return th[0] * terms[0] + th[1] * terms[1] + th[2] * terms[2]
 
@@ -360,16 +363,17 @@ def assemble(mesh: MeshSpec, inflow_value: float = 1.0) -> FomOperators:
     h = mesh.h
     g = inflow_value
 
-    main_m = np.full(n, 2.0 * h / 3.0)
-    main_m[-1] = h / 3.0
-    off_m = np.full(n - 1, h / 6.0)
-
-    main_k = np.full(n, 2.0 / h)
-    main_k[-1] = 1.0 / h
-    off_k = np.full(n - 1, -1.0 / h)
-
-    main_b = np.zeros(n)
-    main_b[-1] = 0.5
+    # bands[k] = (sub, main, super) of mass, diffusion, advection, reaction, ip
+    bands = np.zeros((5, 3, n))
+    mass, diffusion, advection, reaction, ip = bands
+    mass[1], mass[1, -1] = 2.0 * h / 3.0, h / 3.0
+    mass[0, :-1] = mass[2, 1:] = h / 6.0
+    diffusion[1], diffusion[1, -1] = 2.0 / h, 1.0 / h
+    diffusion[0, :-1] = diffusion[2, 1:] = -1.0 / h
+    advection[1, -1] = 0.5
+    advection[0, :-1], advection[2, 1:] = -0.5, 0.5
+    reaction[:] = mass
+    np.add(mass, diffusion, out=ip)
 
     # Couplings of the free nodes to the eliminated inflow node, moved to the
     # right-hand side: b_q = -A_q[free, 0] * g.  Only node 1 is affected.
@@ -379,33 +383,7 @@ def assemble(mesh: MeshSpec, inflow_value: float = 1.0) -> FomOperators:
     output = np.zeros(n)
     output[-1] = 1.0
 
-    return FomOperators(
-        mass=_tridiagonal_csr(off_m, main_m, off_m),
-        blocks=(_tridiagonal_csr(off_k, main_k, off_k),
-                _tridiagonal_csr(np.full(n - 1, -0.5), main_b, np.full(n - 1, 0.5)),
-                _tridiagonal_csr(off_m, main_m, off_m)),
-        loads=loads,
-        output=output,
-        ip=_tridiagonal_csr(off_m + off_k, main_m + main_k, off_m + off_k),
-        n_dofs=n,
-        inflow_value=g,
-    )
-
-
-def _tridiagonal_csr(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> sp.csr_matrix:
-    """The CSR matrix with these sub-, main and superdiagonals, in canonical
-    form and with zeros not stored, as `sp.diags(..., format="csr")` builds it."""
-    n = main.size
-    bands = np.zeros((n, 3))
-    bands[1:, 0], bands[:, 1], bands[:-1, 2] = lower, main, upper
-    cols = np.empty((n, 3), dtype=np.int32)
-    cols[:, 1] = np.arange(n, dtype=np.int32)
-    cols[:, 0], cols[:, 2] = cols[:, 1] - 1, cols[:, 1] + 1
-    stored = bands != 0
-    per_row = stored.view(np.int8)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(per_row[:, 0] + per_row[:, 1] + per_row[:, 2], dtype=np.int32, out=indptr[1:])
-    return sp.csr_matrix((bands[stored], cols[stored], indptr), shape=(n, n))
+    return FomOperators(bands, loads, output)
 
 
 def system_matrix(ops: FomOperators, mu: ParameterPoint) -> sp.csr_matrix:
@@ -418,20 +396,6 @@ def load_vector(ops: FomOperators, mu: ParameterPoint) -> np.ndarray:
     return affine(theta(mu), ops.loads)
 
 
-def _step_bands(ops: FomOperators, mu: ParameterPoint, dt: float) -> np.ndarray:
-    """The bands of mass + dt A(mu), laid out as `FomOperators.bands`, formed
-    as mass + dt ((theta_0 A_0 + theta_1 A_1) + theta_2 A_2): entry by entry
-    the operations, and so the bits, of `ops.mass + dt * system_matrix(ops, mu)`."""
-    th = theta(mu)
-    mass, a0, a1, a2 = ops.bands
-    step = th[0] * a0
-    step += th[1] * a1
-    step += th[2] * a2
-    step *= dt
-    step += mass
-    return step
-
-
 def solve_fom(
     ops: FomOperators,
     mu: ParameterPoint,
@@ -441,10 +405,11 @@ def solve_fom(
 ) -> tuple[Trajectory, QoiVector]:
     """March (mass + dt A(mu)) c^n = mass c^{n-1} + dt (b(mu) + source(t_n)).
 
-    The step matrix's bands (`_step_bands`, no sparse sum) are factorized
-    once by LAPACK GTTRF.  Each step forms its right-hand side from the mass
-    bands in the trajectory's next row, with one preallocated buffer for
-    the off-diagonal products, and solves there with GTTRS.  Raises
+    The step matrix's bands, mass + dt A(mu) formed on `FomOperators.bands`
+    with the operations of the sparse sum, are factorized once by LAPACK
+    GTTRF.  Each step forms its right-hand side from the mass bands in the
+    trajectory's next row, with one preallocated buffer for the
+    off-diagonal products, and solves there with GTTRS.  Raises
     RuntimeError when the step matrix is exactly singular.  `source`, when
     given, must return an already assembled load vector; it is a hook for
     manufactured-solution studies and is None in production runs.
@@ -452,12 +417,12 @@ def solve_fom(
     if c0.shape != (ops.n_dofs,):
         raise ValueError("c0 has wrong length")
     dt = grid.dt
-    step = _step_bands(ops, mu, dt)
-    dl, d, du, du2, ipiv, info = dgttrf(step[0, :-1], step[1], step[2, :-1])
+    step = ops.bands[0] + dt * affine(theta(mu), ops.bands[1:4])
+    dl, d, du, du2, ipiv, info = dgttrf(step[0, :-1], step[1], step[2, 1:])
     if info > 0:
         raise RuntimeError("full-order step matrix is singular")
     dt_b = dt * load_vector(ops, mu)
-    m_diag, m_off = ops.bands[0, 1], ops.bands[0, 2, :-1]  # mass is symmetric
+    m_sub, m_diag, m_sup = ops.bands[0, 0, :-1], ops.bands[0, 1], ops.bands[0, 2, 1:]
 
     coeffs = np.empty((grid.n_steps + 1, ops.n_dofs))
     coeffs[0] = c0
@@ -465,8 +430,8 @@ def solve_fom(
     for k, t in enumerate(grid.times()):
         c, rhs = coeffs[k], coeffs[k + 1]
         np.multiply(m_diag, c, out=rhs)
-        rhs[1:] += np.multiply(m_off, c[:-1], out=off)
-        rhs[:-1] += np.multiply(m_off, c[1:], out=off)
+        rhs[1:] += np.multiply(m_sub, c[:-1], out=off)
+        rhs[:-1] += np.multiply(m_sup, c[1:], out=off)
         rhs += dt_b
         if source is not None:
             rhs += dt * source(t)

@@ -170,6 +170,8 @@ class AdaptiveHierarchy:
         self.config = config
         self.kernel_config = kernel_config
         self.c0 = np.zeros(ops.n_dofs) if c0 is None else np.asarray(c0, dtype=float)
+        if self.c0.shape != (ops.n_dofs,) or not np.isfinite(self.c0).all():
+            raise ValueError(f"c0 must be a finite vector of shape ({ops.n_dofs},)")
         empty = PodBasis(np.zeros((ops.n_dofs, 0)), np.zeros(0))
         self.rm: ReducedModel = project(ops, empty, self.c0)
         self.train = TrainingSet()

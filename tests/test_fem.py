@@ -97,7 +97,7 @@ def test_affine_assembly_matches_direct():
     assert np.allclose(system_matrix(ops, mu).toarray(), direct, rtol=0, atol=0)
 
 
-def test_assembled_operators_are_canonical_csr_with_the_reference_entries():
+def test_assembled_operators_are_dia_views_of_the_bands_with_the_reference_entries():
     n = 32
     h = 1.0 / n
     ops = assemble(MeshSpec(n))
@@ -109,20 +109,30 @@ def test_assembled_operators_are_canonical_csr_with_the_reference_entries():
     mass = reference(h / 6, np.append(np.full(n - 1, 2 * h / 3), h / 3), h / 6)
     diffusion = reference(-1 / h, np.append(np.full(n - 1, 2 / h), 1 / h), -1 / h)
     advection = reference(-0.5, np.append(np.zeros(n - 1), 0.5), 0.5)
-    for mat, want in zip((ops.mass, *ops.blocks), (mass, diffusion, advection, mass)):
-        assert mat.format == "csr" and mat.has_sorted_indices and mat.has_canonical_format
-        assert np.all(mat.data != 0)
-        assert np.allclose(mat.toarray(), want.toarray(), rtol=0, atol=0)
-    assert ops.ip.format == "csr" and ops.ip.has_canonical_format
-    assert np.array_equal(ops.ip.toarray(), (ops.mass + ops.blocks[0]).toarray())
+    assert ops.bands.shape == (5, 3, n) and not ops.bands.flags.writeable
+    operators = (ops.mass, *ops.blocks, ops.ip)
+    for mat, want in zip(operators, (mass, diffusion, advection, mass, mass + diffusion)):
+        assert mat.format == "dia" and mat.shape == (n, n)
+        assert np.array_equal(mat.offsets, [-1, 0, 1])
+        assert np.shares_memory(mat.data, ops.bands) and not mat.data.flags.writeable
+        assert np.array_equal(mat.toarray(), want.toarray())
+    assert ops.ip.toarray().tobytes() == (ops.mass + ops.blocks[0]).toarray().tobytes()
+
+
+@pytest.mark.parametrize("n_cells", [256, 2048])
+@pytest.mark.parametrize("r", [1, 17, 36, 43])
+def test_operator_products_have_the_bits_of_csr_products(n_cells, r):
+    # rb.project's Galerkin blocks are these products
+    ops = assemble(MeshSpec(n_cells))
+    phi = np.random.default_rng(r).standard_normal((n_cells, r))
+    for op in (ops.mass, *ops.blocks):
+        for x in (phi, np.asfortranarray(phi)):
+            assert (op @ x).tobytes() == (sp.csr_matrix(op) @ x).tobytes()
 
 
 def test_ip_factor_is_factored_once_per_operator_set(monkeypatch):
     ops = assemble(MeshSpec(16))
     fresh = IpFactor.of(ops.ip)
-    # each operator's bands are read and checked once per set
-    read, tridiagonal = [], fem.tridiagonal
-    monkeypatch.setattr(fem, "tridiagonal", lambda mat: read.append(mat) or tridiagonal(mat))
     factor = ops.ip_factor
     assert ops.ip_factor is factor
     assert np.array_equal(factor.root_d, fresh.root_d) and np.array_equal(factor.sub, fresh.sub)
@@ -131,17 +141,14 @@ def test_ip_factor_is_factored_once_per_operator_set(monkeypatch):
     monkeypatch.setattr(fem, "_pencil_min_eig", lambda a, b: pencils.append(1) or pencil(a, b))
     pair = coercivity_constants(ops)
     assert coercivity_constants(ops) is pair and len(pencils) == 2
-    assert len(read) == 3
-    once = (ops.ip, ops.blocks[0], ops.blocks[2])
-    assert [sum(m is op for m in read) for op in once] == [1, 1, 1]
-    # a replaced ip is read and factored anew, not taken from the original's cache
-    read.clear()
-    scaled = dataclasses.replace(ops, ip=(4.0 * ops.ip).tocsr())
+    # a replaced ip is factored anew, not taken from the original's cache
+    bands = ops.bands.copy()
+    bands[4] *= 4.0
+    scaled = dataclasses.replace(ops, bands=bands)
     assert np.array_equal(scaled.ip_factor.root_d, 2.0 * factor.root_d)
     assert np.array_equal(scaled.ip_factor.sub, factor.sub)
     assert coercivity_constants(scaled) == pytest.approx((pair[0] / 4, pair[1] / 4), rel=1e-12)
     assert len(pencils) == 4
-    assert len(read) == 3 and sum(m is scaled.ip for m in read) == 1
 
 
 def test_mesh_and_grid_validation():
@@ -279,9 +286,14 @@ def test_solve_fom_matches_splu_stepping(n_cells, n_steps, case):
     assert np.array_equal(qoi.values, traj.coeffs[1:, -1])
 
 
-def test_factorization_reuse_is_bitwise_identical(small_problem):
+def _box_corners_and_interior():
+    box = ParameterBox()
+    return [*box.corners(), ParameterPoint(2.0, 30.0)]
+
+
+@pytest.mark.parametrize("mu", _box_corners_and_interior(), ids=str)
+def test_factorization_reuse_is_bitwise_identical(small_problem, mu):
     ops, grid = small_problem
-    mu = ParameterPoint(2.0, 30.0)
     c0 = np.zeros(ops.n_dofs)
     traj, qoi = solve_fom(ops, mu, grid, c0)
 
@@ -305,20 +317,6 @@ def test_factorization_reuse_is_bitwise_identical(small_problem):
     assert np.array_equal(qoi.values, np.vstack(rows)[1:] @ ops.output)
 
 
-def _box_corners_and_interior():
-    box = ParameterBox()
-    return [*box.corners(), ParameterPoint(2.0, 30.0)]
-
-
-@pytest.mark.parametrize("mu", _box_corners_and_interior(), ids=str)
-def test_step_bands_have_the_bits_of_the_sparse_step_matrix(desk_problem, mu):
-    ops, grid = desk_problem
-    step = fem._step_bands(ops, mu, grid.dt)
-    want = ops.mass + grid.dt * system_matrix(ops, mu)
-    for k, band in zip((-1, 0, 1), (step[0, :-1], step[1], step[2, :-1])):
-        assert band.tobytes() == want.diagonal(k).tobytes()
-
-
 def test_solve_fom_does_not_build_the_sparse_step_matrix(small_problem, monkeypatch):
     ops, grid = small_problem
     mu = ParameterPoint(2.0, 30.0)
@@ -333,29 +331,11 @@ def test_solve_fom_does_not_build_the_sparse_step_matrix(small_problem, monkeypa
     assert np.array_equal(again_qoi.values, qoi.values)
 
 
-def test_bands_are_read_once_per_operator_set():
-    ops, grid = assemble(MeshSpec(16)), TimeGrid(1.0, 8)
-    bands = ops.bands
-    assert ops.bands is bands and not bands.flags.writeable
-    for mat, band in zip((ops.mass, *ops.blocks), bands):
-        assert np.array_equal(band[0, :-1], mat.diagonal(-1)) and band[0, -1] == 0.0
-        assert np.array_equal(band[1], mat.diagonal())
-        assert np.array_equal(band[2, :-1], mat.diagonal(1)) and band[2, -1] == 0.0
-    # a replaced mass is read anew, not taken from the original's cache
-    scaled = dataclasses.replace(ops, mass=(2.0 * ops.mass).tocsr())
-    assert np.array_equal(scaled.bands[0], 2.0 * bands[0])
-    assert np.array_equal(scaled.bands[1:], bands[1:])
-    mu = ParameterPoint(2.0, 30.0)
-    want = scaled.mass + grid.dt * system_matrix(scaled, mu)
-    assert np.array_equal(fem._step_bands(scaled, mu, grid.dt)[1], want.diagonal())
-    assert not np.array_equal(solve_fom(scaled, mu, grid, np.zeros(16))[0].coeffs,
-                              solve_fom(ops, mu, grid, np.zeros(16))[0].coeffs)
-
-
 def test_singular_step_matrix_raises(small_problem):
     ops, grid = small_problem
-    zero = 0.0 * ops.mass
-    degenerate = dataclasses.replace(ops, mass=zero, blocks=(zero, zero, zero))
+    bands = ops.bands.copy()
+    bands[:4] = 0.0  # mass and the blocks
+    degenerate = dataclasses.replace(ops, bands=bands)
     with pytest.raises(RuntimeError, match="singular"):
         solve_fom(degenerate, ParameterPoint(1.0, 10.0), grid, np.zeros(ops.n_dofs))
 

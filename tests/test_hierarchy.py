@@ -83,6 +83,15 @@ def test_query_rejects_out_of_box_parameter():
     assert state.rm.dim == 0
 
 
+@pytest.mark.parametrize("c0", [np.full(32, np.nan), np.zeros(31), np.zeros((32, 1))],
+                         ids=["nan", "short", "column"])
+def test_invalid_initial_state_is_rejected_at_construction(c0):
+    box = ParameterBox()
+    with pytest.raises(ValueError, match="^c0 "):
+        AdaptiveHierarchy(assemble(MeshSpec(32)), TimeGrid(1.0, 32), box, HierarchyConfig(),
+                          KernelConfig(box=box), c0=c0)
+
+
 def test_ml_branch_after_trust_threshold_runs_no_solves():
     box = ParameterBox(pe_max=10.0)
     state = make_state(box=box, trust_threshold=6, retrain_every=3)
