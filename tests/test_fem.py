@@ -286,14 +286,9 @@ def test_solve_fom_matches_splu_stepping(n_cells, n_steps, case):
     assert np.array_equal(qoi.values, traj.coeffs[1:, -1])
 
 
-def _box_corners_and_interior():
-    box = ParameterBox()
-    return [*box.corners(), ParameterPoint(2.0, 30.0)]
-
-
-@pytest.mark.parametrize("mu", _box_corners_and_interior(), ids=str)
-def test_factorization_reuse_is_bitwise_identical(small_problem, mu):
+def test_factorization_reuse_is_bitwise_identical(small_problem):
     ops, grid = small_problem
+    mu = ParameterPoint(2.0, 30.0)
     c0 = np.zeros(ops.n_dofs)
     traj, qoi = solve_fom(ops, mu, grid, c0)
 
@@ -315,6 +310,28 @@ def test_factorization_reuse_is_bitwise_identical(small_problem, mu):
         rows.append(c.copy())
     assert np.array_equal(traj.coeffs, np.vstack(rows))
     assert np.array_equal(qoi.values, np.vstack(rows)[1:] @ ops.output)
+
+
+def _box_corners_and_interior():
+    box = ParameterBox()
+    return [*box.corners(), ParameterPoint(2.0, 30.0)]
+
+
+@pytest.mark.parametrize("mu", _box_corners_and_interior(), ids=str)
+def test_step_bands_have_the_bits_of_the_sparse_step_matrix(desk_problem, mu, monkeypatch):
+    ops, grid = desk_problem
+    factored = []
+
+    def record(*bands):
+        factored.append(tuple(band.copy() for band in bands))
+        return dgttrf(*bands)
+
+    monkeypatch.setattr(fem, "dgttrf", record)
+    solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
+    want = ops.mass + grid.dt * system_matrix(ops, mu)
+    (sub, diag, sup), = factored
+    for k, band in zip((-1, 0, 1), (sub, diag, sup)):
+        assert band.tobytes() == want.diagonal(k).tobytes()
 
 
 def test_solve_fom_does_not_build_the_sparse_step_matrix(small_problem, monkeypatch):
