@@ -14,7 +14,6 @@ from hiermor import (
     MeshSpec,
     ParameterBox,
     ParameterPoint,
-    PodBasis,
     QoiVector,
     TimeGrid,
     assemble,
@@ -35,8 +34,7 @@ c0 = np.zeros(ops.n_dofs)
 box = ParameterBox()
 
 traj, _ = solve_fom(ops, ParameterPoint(1.0, 10.0), grid, c0)
-empty = PodBasis(np.zeros((ops.n_dofs, 0)), np.zeros(0))
-rm, added = enrich(project(ops, empty, c0), traj, ops)
+rm, added = enrich(project(ops, np.zeros((ops.n_dofs, 0)), c0), traj, ops)
 print(f"basis dimension after one enrichment: {rm.dim}\n")
 print(f"{'Da':>8} {'Pe':>8} {'true error':>12} {'bound':>12} {'effectivity':>12}")
 

@@ -206,7 +206,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8: byte {data[exc.start]:#04x}",
+                          data.count(b"\n", 0, exc.start) + 1) from None
+    return parse_config(text)
 
 
 def sample_parameters(sweep: SweepConfig, box: ParameterBox) -> list[ParameterPoint]:

@@ -43,7 +43,6 @@ from .fem import (
     solve_fom,
 )
 from .kernel import KernelConfig, KernelModel, TrainingSet, fit, predict
-from .pod import PodBasis
 from .rb import ReducedModel, enrich, estimate, project, solve_rb
 
 __all__ = [
@@ -172,8 +171,7 @@ class AdaptiveHierarchy:
         self.c0 = np.zeros(ops.n_dofs) if c0 is None else np.asarray(c0, dtype=float)
         if self.c0.shape != (ops.n_dofs,) or not np.isfinite(self.c0).all():
             raise ValueError(f"c0 must be a finite vector of shape ({ops.n_dofs},)")
-        empty = PodBasis(np.zeros((ops.n_dofs, 0)), np.zeros(0))
-        self.rm: ReducedModel = project(ops, empty, self.c0)
+        self.rm: ReducedModel = project(ops, np.zeros((ops.n_dofs, 0)), self.c0)
         self.train = TrainingSet()
         # The surrogate of the last refit that fell due; None before the first.
         self._surrogate: Surrogate | None = None

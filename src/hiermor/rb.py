@@ -18,7 +18,7 @@ query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dgesv
@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dgeqp3, dgesv
 from .fem import (FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory, affine,
                   coercivity_constants, theta)
 # `hapod` is not called here; the benchmark's span table looks it up in this module.
-from .pod import PodBasis, h_orthonormalize, hapod, pod  # noqa: F401
+from .pod import h_orthonormalize, hapod, pod  # noqa: F401
 
 __all__ = [
     "ReducedModel",
@@ -43,69 +43,40 @@ __all__ = [
 
 @dataclass
 class ReducedModel:
-    """Projected affine blocks plus everything the online error bound needs.
+    """The per-basis operands the online tier contracts, and the bound's constants.
 
-    `red_blocks` (Q, r, r) and `red_loads` (Q, r) are the FOM `blocks` and
-    `loads` projected onto the basis, in the same theta order.  `riesz_sqrt`
-    is a factor of the Gramian of the Riesz representers of all residual
-    building blocks, with rows ordered [b_1 .. b_Q, M Phi, A_1 Phi .. A_Q Phi]
-    (one row per load, then r rows per operator): it has Q + (Q + 1) r rows,
-    one column per numerical rank of the representers, and
-    riesz_sqrt @ riesz_sqrt.T is that Gramian up to `RIESZ_DROP_TOL`.  Only
-    the factor is kept, for the cancellation-free dual-norm evaluation.
+    `project` writes them once per basis, and nothing else of the reduced
+    operators is kept.  Both stacks are C-contiguous, one row per term
+    [M, A_1 .. A_Q], for the H-orthonormal `modes` Phi (n_dofs, r):
 
-    `__post_init__` derives the C-contiguous per-basis operands the online
-    tier contracts, so every construction (`project`, `dataclasses.replace`)
-    refreshes them:
-
-    - `step_terms` (Q + 1, 2 (r + 1)^2): per term [M_r, B_1 .. B_Q] the
-      transposes of its share in the augmented step matrix
-      S^ = [[M_r + dt A_r(mu), 0], [0, 1]] and right-hand side
-      B^ = [[M_r, dt b_r(mu)], [0, 1]]; weighted by (1, dt theta) they sum
-      to the transposes of S^ and B^, which LAPACK reads in Fortran order
-      as S^ and B^ themselves.
-    - `riesz_terms` (Q + 1, (r + 1) q): per term the rows of `riesz_sqrt`
-      that map the augmented state [a; 1], [R_M; 0] for the mass and
-      [R_q; -R_load_q] for operator q, so the load row of each term rides
-      in the row the trailing 1 of the state picks out.
+    - `step_terms` (Q + 1, 2 (r + 1)^2): per term the transposes of its share
+      in the augmented step matrix S^ = [[M_r + dt A_r(mu), 0], [0, 1]] and
+      right-hand side B^ = [[M_r, dt b_r(mu)], [0, 1]] (M_r = Phi^T M Phi,
+      and so on); weighted by (1, dt theta) they sum to the transposes of S^
+      and B^, which LAPACK reads in Fortran order as S^ and B^ themselves.
+    - `riesz_terms` (Q + 1, (r + 1) q): per term the rows of a factor of the
+      residual representers' Riesz Gramian (q its numerical rank) that map
+      the augmented state [a; 1]: [R_M; 0] for the mass and [R_q; -R_load_q]
+      for operator q, so each term's load row rides on the trailing 1.
 
     Immutable: enrichment builds a new model instead of mutating, so
     concurrent queries against one instance are safe.
     """
 
-    basis: PodBasis
-    red_mass: np.ndarray
-    red_blocks: np.ndarray
-    red_loads: np.ndarray
+    modes: np.ndarray
+    step_terms: np.ndarray
+    riesz_terms: np.ndarray
     red_output: np.ndarray
     red_init: np.ndarray
-    riesz_sqrt: np.ndarray
     output_dual_norm: float
     gamma_diff: float
     gamma_react: float
     init_error: float
     init_state: np.ndarray
-    step_terms: np.ndarray = field(init=False, repr=False, compare=False)
-    riesz_terms: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        r = self.dim
-        n_terms = len(self.red_loads)
-        terms = np.zeros((n_terms + 1, 2, r + 1, r + 1))
-        terms[0, :, :r, :r] = self.red_mass.T
-        terms[0, :, r, r] = 1.0
-        terms[1:, 0, :r, :r] = self.red_blocks.transpose(0, 2, 1)
-        terms[1:, 1, r, :r] = self.red_loads
-        self.step_terms = terms.reshape(n_terms + 1, -1)
-        q = self.riesz_sqrt.shape[1]
-        riesz = np.zeros((n_terms + 1, r + 1, q))
-        riesz[:, :r] = self.riesz_sqrt[n_terms:].reshape(n_terms + 1, r, q)
-        riesz[1:, r] = -self.riesz_sqrt[:n_terms]
-        self.riesz_terms = riesz.reshape(n_terms + 1, -1)
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return self.modes.shape[1]
 
 
 @dataclass
@@ -153,41 +124,51 @@ def _riesz_factor(y: np.ndarray) -> np.ndarray:
     return factor.T
 
 
-def project(ops: FomOperators, basis: PodBasis, c0: np.ndarray) -> ReducedModel:
-    """Build all reduced quantities for the given H-orthonormal basis.
+def project(ops: FomOperators, modes: np.ndarray, c0: np.ndarray) -> ReducedModel:
+    """Build all reduced quantities for the H-orthonormal basis `modes` (n_dofs, r).
 
     Cost is O(n_dofs * r^2) and pays once per enrichment, never per query:
     the residual components are mapped by one bidiagonal half-solve with the
-    Cholesky factor of ip, and only a factor of their Riesz Gramian is kept.
-    The initial-state terms are Euclidean in the coordinates of that factor.
+    Cholesky factor of ip, and only a factor of their Riesz Gramian is kept,
+    its rows scattered into the per-term blocks of `riesz_terms`.  The
+    initial-state terms are Euclidean in the coordinates of that factor.
     """
-    phi = basis.modes
     factor = ops.ip_factor
+    r, n_terms = modes.shape[1], len(ops.loads)
 
-    applied = [mat @ phi for mat in (ops.mass, *ops.blocks)]
-    red_mass, *red_blocks = (phi.T @ a for a in applied)
+    applied = [mat @ modes for mat in (ops.mass, *ops.blocks)]
+    red_mass, *red_blocks = (modes.T @ a for a in applied)
+    steps = np.zeros((n_terms + 1, 2, r + 1, r + 1))
+    steps[0, :, :r, :r] = red_mass.T
+    steps[0, :, r, r] = 1.0
+    steps[1:, 0, :r, :r] = np.transpose(red_blocks, (0, 2, 1))
+    steps[1:, 1, r, :r] = ops.loads @ modes
+
     components = np.column_stack([ops.loads.T, *applied, ops.output])
     # Dual norms of residual combinations are ||w @ riesz_sqrt||_2.  With
     # ip = L D L^T, Y = D^-1/2 L^-1 C has Gramian Y^T Y = C^T ip^-1 C, the
     # representers' Gramian, never formed: contracting it with w would cancel
-    # once the residual is small.  The factor is R^T of a pivoted QR of Y.
+    # once the residual is small.  The factor is R^T of a pivoted QR of Y, one
+    # row per component [b_1 .. b_Q, M Phi, A_1 Phi .. A_Q Phi].
     y = factor.half_solve(components)
     c_s = float(np.linalg.norm(y[:, -1]))
     riesz_sqrt = _riesz_factor(y[:, :-1])
+    q = riesz_sqrt.shape[1]
+    riesz = np.zeros((n_terms + 1, r + 1, q))
+    riesz[:, :r] = riesz_sqrt[n_terms:].reshape(n_terms + 1, r, q)
+    riesz[1:, r] = -riesz_sqrt[:n_terms]
     gamma_diff, gamma_react = coercivity_constants(ops)
 
-    init = factor.coords(np.column_stack([c0, phi]))
+    init = factor.coords(np.column_stack([c0, modes]))
     red_init = init[:, 1:].T @ init[:, 0]
     init_error = float(np.linalg.norm(init[:, 0] - init[:, 1:] @ red_init))
 
     return ReducedModel(
-        basis=basis,
-        red_mass=red_mass,
-        red_blocks=np.array(red_blocks),
-        red_loads=ops.loads @ phi,
-        red_output=phi.T @ ops.output,
+        modes=modes,
+        step_terms=steps.reshape(n_terms + 1, -1),
+        riesz_terms=riesz.reshape(n_terms + 1, -1),
+        red_output=modes.T @ ops.output,
         red_init=red_init,
-        riesz_sqrt=riesz_sqrt,
         output_dual_norm=c_s,
         gamma_diff=gamma_diff,
         gamma_react=gamma_react,
@@ -263,8 +244,9 @@ def estimate(
     row.  The load rides on the trailing 1 of t^n, whose difference is
     exactly 0.  The trajectory is read through `np.ascontiguousarray`, free
     on `solve_rb`'s buffer, so the bits do not depend on its layout.  Online
-    cost O(n_steps * 2(r + 1) * q), q the column count of `riesz_sqrt` (the
-    rank of the residual representers, 46 at r = 36 on the desk config).
+    cost O(n_steps * 2(r + 1) * q), q the column count of each term's block
+    of `riesz_terms` (the rank of the residual representers, 46 at r = 36 on
+    the desk config).
     """
     r = rm.dim
     dt = grid.dt
@@ -313,23 +295,21 @@ def enrich(
     in Y's order, and the containment test and the POD (`pod` without `ip`)
     read that one array.  The union [Phi_Y, new modes] is reorthonormalized
     with `h_orthonormalize`, old modes first, so the old span is preserved
-    exactly, and mapped out once.  One POD serves every trajectory length.
+    exactly, and mapped out once as the modes `project` takes; when it keeps
+    no new column (the POD found none) the model itself comes back.  One POD
+    serves every trajectory length.
     """
     factor = ops.ip_factor
     y = factor.coords(fom_traj.coeffs.T)
-    phi_y = factor.coords(rm.basis.modes)
+    phi_y = factor.coords(rm.modes)
     err_t = (phi_y.T @ y).T @ phi_y.T  # transposed, so the error keeps Y's order,
     np.subtract(y.T, err_t, out=err_t)  # and in the product's buffer, as in `pod`
     if np.einsum("ij,ij->", err_t, err_t) <= CONTAINMENT_RTOL**2 * np.einsum("ij,ij->", y, y):
         return rm, 0
 
     new = pod(err_t.T, rank=max_modes, energy_tol=energy_tol)
-    if new.dim == 0:
-        return rm, 0
-
     union, _ = h_orthonormalize(np.hstack([phi_y, new.modes]), None)
     added = union.shape[1] - rm.dim
     if added <= 0:
         return rm, 0
-    basis = PodBasis(factor.from_coords(union), np.ones(union.shape[1]))
-    return project(ops, basis, rm.init_state), added
+    return project(ops, factor.from_coords(union), rm.init_state), added

@@ -357,11 +357,13 @@ def test_seed_override_changes_sweep(tmp_path):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
+    # an invalid value, then a byte that is not UTF-8: both on line 2
     path = tmp_path / "bad.ini"
-    path.write_text("[mesh]\nn_cells = -4\n[sweep]\nseed = 1\n")
-    assert main(["run", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "bad.ini:2" in err
+    for body in (b"[mesh]\nn_cells = -4\n[sweep]\nseed = 1\n", b"[mesh]\nn_cells = 2\xff\n"):
+        path.write_bytes(body)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.ini:2" in err
 
 
 def test_negative_seed_override_exit_code(tmp_path, capsys):
@@ -535,13 +537,13 @@ def test_validation_with_full_space_basis_override(tmp_path):
 
     from hiermor.cli import BOUND_SLACK, ValidationReport, ValidationRow, build_hierarchy
     from hiermor.fem import ParameterPoint, QoiVector, qoi_norm, solve_fom
-    from hiermor.pod import PodBasis, h_orthonormalize
+    from hiermor.pod import h_orthonormalize
     from hiermor.rb import project
 
     config = load_config(write_small_config(tmp_path))
     state = build_hierarchy(config)
     q, _ = h_orthonormalize(np.eye(state.ops.n_dofs), state.ops.ip)
-    state.rm = project(state.ops, PodBasis(q, np.ones(state.ops.n_dofs)), state.c0)
+    state.rm = project(state.ops, q, state.c0)
 
     rng = np.random.default_rng(0)
     rows = []

@@ -13,7 +13,6 @@ from hiermor import (
     MeshSpec,
     ParameterBox,
     ParameterPoint,
-    PodBasis,
     QoiVector,
     TimeGrid,
     assemble,
@@ -27,24 +26,44 @@ from hiermor import (
     solve_rb,
 )
 from hiermor.fem import load_vector, system_matrix, theta
-from hiermor.pod import h_orthonormalize, hapod
+from hiermor.pod import PodBasis, h_orthonormalize, hapod
 import hiermor.rb as rb_mod
 from hiermor.rb import ErrorBound, coercivity_constants
 
 
 def empty_basis(n):
-    return PodBasis(np.zeros((n, 0)), np.zeros(0))
+    return np.zeros((n, 0))
 
 
 def full_basis(ops):
     q, _ = h_orthonormalize(np.eye(ops.n_dofs), ops.ip)
-    return PodBasis(q, np.ones(ops.n_dofs))
+    return q
 
 
 def random_basis(ops, r, seed):
     rng = np.random.default_rng(seed)
     q, _ = h_orthonormalize(rng.standard_normal((ops.n_dofs, r)), ops.ip)
-    return PodBasis(q, np.ones(r))
+    return q
+
+
+def unpacked(rm):
+    """(red_mass, red_blocks, red_loads, riesz_sqrt) read back out of the operand stacks.
+
+    The projected mass, the Q projected blocks and loads, and the Riesz factor
+    with rows in `project`'s component order [b_1 .. b_Q, M Phi, A_1 Phi ..
+    A_Q Phi]; every entry is a copy or a negation of a stacked one, so the
+    same bits."""
+    r = rm.dim
+    steps = rm.step_terms.reshape(len(rm.step_terms), 2, r + 1, r + 1)
+    riesz = rm.riesz_terms.reshape(len(rm.riesz_terms), r + 1, -1)
+    riesz_sqrt = np.vstack([-riesz[1:, r], riesz[:, :r].reshape(-1, riesz.shape[2])])
+    red_blocks = steps[1:, 0, :r, :r].transpose(0, 2, 1)
+    return steps[0, 0, :r, :r].T, red_blocks, steps[1:, 1, r, :r], riesz_sqrt
+
+
+def riesz_rows(rm):
+    """`riesz_terms` as one row per component of the augmented state, term by term."""
+    return rm.riesz_terms.reshape(len(rm.riesz_terms) * (rm.dim + 1), -1)
 
 
 def brute_force_dual_norms(ops, mu, full_traj, grid):
@@ -62,14 +81,15 @@ def brute_force_dual_norms(ops, mu, full_traj, grid):
 def stepping_solve_rb(rm, mu, grid):
     """Reference reduced trajectory: implicit Euler, one LU solve per time step."""
     th_d, th_a, th_r = theta(mu)
-    red_a = th_d * rm.red_blocks[0] + th_a * rm.red_blocks[1] + th_r * rm.red_blocks[2]
-    red_b = th_d * rm.red_loads[0] + th_a * rm.red_loads[1] + th_r * rm.red_loads[2]
-    lu_piv = la.lu_factor(rm.red_mass + grid.dt * red_a)
+    red_mass, red_blocks, red_loads, _ = unpacked(rm)
+    red_a = th_d * red_blocks[0] + th_a * red_blocks[1] + th_r * red_blocks[2]
+    red_b = th_d * red_loads[0] + th_a * red_loads[1] + th_r * red_loads[2]
+    lu_piv = la.lu_factor(red_mass + grid.dt * red_a)
     traj = np.empty((grid.n_steps + 1, rm.dim))
     traj[0] = rm.red_init
     a = rm.red_init.copy()
     for k in range(grid.n_steps):
-        a = la.lu_solve(lu_piv, rm.red_mass @ a + grid.dt * red_b)
+        a = la.lu_solve(lu_piv, red_mass @ a + grid.dt * red_b)
         traj[k + 1] = a
     return traj
 
@@ -80,7 +100,7 @@ def augmented(reduced_traj):
 
 
 def weights_estimate(rm, mu, aug_traj, grid):
-    """Reference bound: one (3 + 4r)-column weight row per step times all of riesz_sqrt.
+    """Reference bound: one (3 + 4r)-column weight row per step times the whole Riesz factor.
 
     Reads the first r columns of the augmented trajectory; the load weights
     are theta itself, not the trailing column of ones."""
@@ -94,7 +114,7 @@ def weights_estimate(rm, mu, aug_traj, grid):
     weights[:, 3 + r: 3 + 2 * r] = -th_d * a_now
     weights[:, 3 + 2 * r: 3 + 3 * r] = -th_a * a_now
     weights[:, 3 + 3 * r:] = -th_r * a_now
-    mapped = weights @ rm.riesz_sqrt
+    mapped = weights @ unpacked(rm)[3]
     sq = np.einsum("ni,ni->n", mapped, mapped)
     alpha, c_s = coercivity_lb(rm, mu), rm.output_dual_norm
     delta_sq = (c_s / alpha) ** 2 * dt * float(sq.sum()) + c_s**2 / alpha * rm.init_error**2
@@ -105,35 +125,45 @@ def weights_estimate(rm, mu, aug_traj, grid):
 
 
 def test_project_single_mode_quadratic_form(small_problem):
+    # r = 1: per term the step and right-hand-side shares are 2 x 2
     ops, _ = small_problem
     basis = random_basis(ops, 1, seed=2)
-    phi = basis.modes[:, 0]
+    phi = basis[:, 0]
     rm = project(ops, basis, np.zeros(ops.n_dofs))
-    assert rm.red_mass.shape == (1, 1)
-    assert rm.red_mass[0, 0] == pytest.approx(float(phi @ (ops.mass @ phi)), rel=1e-12)
-    assert rm.red_blocks[0, 0, 0] == pytest.approx(float(phi @ (ops.blocks[0] @ phi)), rel=1e-12)
+    steps = rm.step_terms.reshape(4, 2, 2, 2)
+    mass = float(phi @ (ops.mass @ phi))
+    assert steps[0, 0, 0, 0] == pytest.approx(mass, rel=1e-12)
+    assert steps[0, 1, 0, 0] == pytest.approx(mass, rel=1e-12)
+    assert steps[1, 0, 0, 0] == pytest.approx(float(phi @ (ops.blocks[0] @ phi)), rel=1e-12)
+    assert steps[1, 1, 1, 0] == pytest.approx(float(ops.loads[0] @ phi), rel=1e-12)
+    assert np.array_equal(steps[0, :, 1, 1], [1.0, 1.0])
 
 
 def test_projected_blocks_match_definition(small_problem):
+    # step_terms holds, per term [M, A_1 .. A_3], the transposes of its share
+    # in [[M_r + dt A_r, 0], [0, 1]] and [[M_r, dt b_r], [0, 1]]; the rest is 0
     ops, _ = small_problem
-    basis = random_basis(ops, 4, seed=3)
-    phi = basis.modes
-    rm = project(ops, basis, np.zeros(ops.n_dofs))
-    for red, mat in (
-        (rm.red_mass, ops.mass),
-        (rm.red_blocks[0], ops.blocks[0]),
-        (rm.red_blocks[1], ops.blocks[1]),
-        (rm.red_blocks[2], ops.blocks[2]),
-    ):
-        assert np.abs(red - phi.T @ (mat @ phi)).max() < 1e-12
+    r = 4
+    phi = random_basis(ops, r, seed=3)
+    rm = project(ops, phi, np.zeros(ops.n_dofs))
+    assert rm.step_terms.shape == (4, 2 * (r + 1) ** 2) and rm.step_terms.flags.c_contiguous
+    expected = np.zeros((4, 2, r + 1, r + 1))
+    for k, mat in enumerate((ops.mass, *ops.blocks)):
+        expected[k, 0, :r, :r] = (phi.T @ (mat @ phi)).T
+    expected[0, 1] = expected[0, 0]
+    expected[1:, 1, r, :r] = ops.loads @ phi
+    expected[0, :, r, r] = 1.0
+    steps = rm.step_terms.reshape(expected.shape)
+    assert np.abs(steps - expected).max() < 1e-12
+    assert np.array_equal(steps[0, :, r, r], [1.0, 1.0])
 
 
-def residual_components(ops, basis):
-    phi = basis.modes
-    return np.column_stack(
-        [ops.loads[0], ops.loads[1], ops.loads[2]]
-        + [mat @ phi for mat in (ops.mass, ops.blocks[0], ops.blocks[1], ops.blocks[2])]
-    )
+def residual_components(ops, phi):
+    """[M Phi, 0 | A_1 Phi, -b_1 | .. | A_3 Phi, -b_3]: the columns whose Riesz
+    representers the rows of `riesz_rows` factor, in that order."""
+    loads = [np.zeros(ops.n_dofs)] + [-b for b in ops.loads]
+    return np.column_stack([np.column_stack([mat @ phi, b])
+                            for mat, b in zip((ops.mass, *ops.blocks), loads)])
 
 
 def test_riesz_sqrt_factors_brute_force_gram(small_problem):
@@ -142,7 +172,8 @@ def test_riesz_sqrt_factors_brute_force_gram(small_problem):
     rm = project(ops, basis, np.zeros(ops.n_dofs))
     components = residual_components(ops, basis)
     gram = components.T @ spla.spsolve(ops.ip.tocsc(), components)
-    assert np.abs(rm.riesz_sqrt @ rm.riesz_sqrt.T - gram).max() <= 1e-10 * np.abs(gram).max()
+    rows = riesz_rows(rm)
+    assert np.abs(rows @ rows.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
 @pytest.mark.parametrize("n_cells, r", [(32, 0), (32, 3), (256, 12), (256, 28)])
@@ -154,7 +185,8 @@ def test_riesz_sqrt_drops_at_most_tolerance_per_component(n_cells, r):
     ops = assemble(MeshSpec(n_cells))
     basis = random_basis(ops, r, seed=6) if r else empty_basis(ops.n_dofs)
     rm = project(ops, basis, np.zeros(ops.n_dofs))
-    q = rm.riesz_sqrt.shape[1]
+    rows = riesz_rows(rm)
+    q = rows.shape[1]
     assert q < 3 + 4 * r
     if r == 0:
         assert q == 1
@@ -167,19 +199,21 @@ def test_riesz_sqrt_drops_at_most_tolerance_per_component(n_cells, r):
     assert np.all(lost[0] <= 1e-10 * np.maximum(norms, 1.0))
     assert np.any(lost[1] > 1e-10 * np.maximum(norms, 1.0)) or q == 1
     gram = y.T @ y
-    assert np.abs(rm.riesz_sqrt @ rm.riesz_sqrt.T - gram).max() <= 1e-10 * np.abs(gram).max()
+    assert np.abs(rows @ rows.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
 def test_riesz_sqrt_of_full_space_basis(small_problem):
-    # 3 + 4n components in n dofs: R is wide and keeps at most n rows
+    # 3 + 4n components in n dofs (4 (n + 1) rows of riesz_terms, with the
+    # mass term's zero load row): R is wide and keeps at most n rows
     ops, _ = small_problem
     basis = full_basis(ops)
     rm = project(ops, basis, np.zeros(ops.n_dofs))
-    assert rm.riesz_sqrt.shape[0] == 3 + 4 * ops.n_dofs
-    assert rm.riesz_sqrt.shape[1] <= ops.n_dofs
+    rows = riesz_rows(rm)
+    assert rows.shape[0] == 4 * (ops.n_dofs + 1)
+    assert rows.shape[1] <= ops.n_dofs
     components = residual_components(ops, basis)
     gram = components.T @ spla.spsolve(ops.ip.tocsc(), components)
-    assert np.abs(rm.riesz_sqrt @ rm.riesz_sqrt.T - gram).max() <= 1e-10 * np.abs(gram).max()
+    assert np.abs(rows @ rows.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
 @pytest.mark.parametrize("n_cells", [16, 256])
@@ -193,7 +227,7 @@ def test_riesz_gram_against_brute_force(n_cells):
     rm = project(ops, basis, np.zeros(ops.n_dofs))
     rtraj, _ = solve_rb(rm, mu, grid)
     bound = estimate(rm, mu, rtraj, grid)
-    full_traj = rtraj[:, :3] @ basis.modes.T
+    full_traj = rtraj[:, :3] @ basis.T
     oracle = brute_force_dual_norms(ops, mu, full_traj, grid)
     assert np.allclose(bound.residual_norms, oracle, rtol=1e-8, atol=1e-12)
 
@@ -217,7 +251,7 @@ def test_full_space_basis_reproduces_fom(small_problem):
     traj, f_h = solve_fom(ops, mu, grid, c0)
     rm = project(ops, full_basis(ops), c0)
     rtraj, f_rb = solve_rb(rm, mu, grid)
-    recon = rtraj[:, :rm.dim] @ rm.basis.modes.T
+    recon = rtraj[:, :rm.dim] @ rm.modes.T
     assert np.abs(recon - traj.coeffs).max() < 1e-8
     assert np.abs(f_rb.values - f_h.values).max() < 1e-8
 
@@ -227,7 +261,7 @@ def test_reproduction_property(small_problem):
     mu = ParameterPoint(1.0, 10.0)
     c0 = np.zeros(ops.n_dofs)
     traj, f_h = solve_fom(ops, mu, grid, c0)
-    basis = pod(traj.coeffs.T, ops.ip, energy_tol=1e-10)
+    basis = pod(traj.coeffs.T, ops.ip, energy_tol=1e-10).modes
     rm = project(ops, basis, c0)
     _, f_rb = solve_rb(rm, mu, grid)
     err = qoi_norm(QoiVector(f_h.values - f_rb.values, grid.dt))
@@ -241,7 +275,7 @@ def test_solve_rb_matches_stepping_reference(small_problem, reference_trajectory
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
     c0 = traj.coeffs[len(traj.coeffs) // 2]
-    rm = project(ops, pod(traj.coeffs.T, ops.ip, energy_tol=1e-10), c0)
+    rm = project(ops, pod(traj.coeffs.T, ops.ip, energy_tol=1e-10).modes, c0)
     grid = TimeGrid(1.0, n_steps)
     mu = ParameterPoint(2.0, 25.0)
     rtraj, qoi = solve_rb(rm, mu, grid)
@@ -255,9 +289,11 @@ def test_solve_rb_matches_stepping_reference(small_problem, reference_trajectory
 
 def test_solve_rb_singular_step_raises(small_problem):
     ops, grid = small_problem
-    rm = project(ops, random_basis(ops, 3, seed=9), np.zeros(ops.n_dofs))
-    zero = np.zeros_like(rm.red_mass)
-    degenerate = dataclasses.replace(rm, red_mass=zero, red_blocks=np.array([zero, zero, zero]))
+    r = 3
+    rm = project(ops, random_basis(ops, r, seed=9), np.zeros(ops.n_dofs))
+    steps = rm.step_terms.reshape(4, 2, r + 1, r + 1).copy()
+    steps[:, :, :r, :r] = 0.0  # M_r and every A_q,r
+    degenerate = dataclasses.replace(rm, step_terms=steps.reshape(4, -1))
     with pytest.raises(RuntimeError, match="singular"):
         solve_rb(degenerate, ParameterPoint(1.0, 10.0), grid)
 
@@ -268,12 +304,12 @@ def test_galerkin_orthogonality_per_step(small_problem):
     basis = random_basis(ops, 5, seed=8)
     rm = project(ops, basis, np.zeros(ops.n_dofs))
     rtraj, _ = solve_rb(rm, mu, grid)
-    full_traj = rtraj[:, :5] @ basis.modes.T
+    full_traj = rtraj[:, :5] @ basis.T
     a_mat = system_matrix(ops, mu)
     b = load_vector(ops, mu)
     for k in range(1, grid.n_steps + 1):
         r = b - ops.mass @ ((full_traj[k] - full_traj[k - 1]) / grid.dt) - a_mat @ full_traj[k]
-        assert np.abs(basis.modes.T @ r).max() < 1e-8
+        assert np.abs(basis.T @ r).max() < 1e-8
 
 
 # -- error bound ------------------------------------------------------------------
@@ -365,7 +401,7 @@ def assert_estimate_matches_weights_reference(rm, mu, rtraj, grid, new):
         assert rel <= 1e-3
     # both map the same residual: they differ by roundoff in its largest
     # term, the load (the r = 0 residual)
-    load = np.linalg.norm(np.asarray(theta(mu)) @ rm.riesz_sqrt[:3])
+    load = np.linalg.norm(np.asarray(theta(mu)) @ unpacked(rm)[3][:3])
     assert np.abs(new.residual_norms - ref.residual_norms).max() <= 1e-13 * load
     return ref.delta_rb
 
@@ -434,9 +470,9 @@ def test_online_tier_property(small_problem, reference_trajectory, r, seed, c0_r
     for layout in (wide[:, 1: r + 2], rtraj.copy(), np.asfortranarray(rtraj)):
         assert same_bound(estimate(rm, mu, layout, grid), bound)
 
-    # replace() refreshes the derived operands: a model of another basis given
-    # rm's fields solves and estimates like rm
-    fields = {f.name: getattr(rm, f.name) for f in dataclasses.fields(rm) if f.init}
+    # the fields are the whole model: one of another basis given rm's fields
+    # solves and estimates like rm
+    fields = {f.name: getattr(rm, f.name) for f in dataclasses.fields(rm)}
     other = project(ops, random_basis(ops, 3, seed + 1), np.zeros(ops.n_dofs))
     replaced = dataclasses.replace(other, **fields)
     rtraj2, qoi2 = solve_rb(replaced, mu, grid)
@@ -523,7 +559,7 @@ def test_enrich_from_empty_equals_trajectory_pod(small_problem, reference_trajec
     direct = pod(traj.coeffs.T, ops.ip, rank=25, energy_tol=1e-6)
     assert added == direct.dim
     # same span: cross-projection is lossless both ways
-    phi, psi = rm1.basis.modes, direct.modes
+    phi, psi = rm1.modes, direct.modes
     assert np.abs(phi - psi @ (psi.T @ (ops.ip @ phi))).max() < 1e-8
 
 
@@ -538,6 +574,26 @@ def test_enrich_stagnates_when_trajectory_in_span(small_problem, reference_traje
     assert rm2 is rm1
 
 
+@pytest.mark.parametrize("r", [0, 12])
+def test_enrich_without_new_modes_returns_model(small_problem, reference_trajectory,
+                                                monkeypatch, r):
+    # A POD that finds no mode leaves the union at the r old columns: the
+    # model itself comes back, with nothing projected.
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    basis = random_basis(ops, r, seed=9) if r else empty_basis(ops.n_dofs)
+    rm0 = project(ops, basis, np.zeros(ops.n_dofs))
+
+    def no_project(*args):
+        raise AssertionError("enrich projected a basis without new modes")
+
+    monkeypatch.setattr(rb_mod, "pod",
+                        lambda x, **kwargs: PodBasis(np.zeros((len(x), 0)), np.zeros(0)))
+    monkeypatch.setattr(rb_mod, "project", no_project)
+    rm1, added = enrich(rm0, traj, ops)
+    assert rm1 is rm0 and added == 0
+
+
 def test_enrich_preserves_old_span(small_problem, reference_trajectory):
     ops, grid = small_problem
     _, traj, _ = reference_trajectory
@@ -545,9 +601,9 @@ def test_enrich_preserves_old_span(small_problem, reference_trajectory):
     rm1, added = enrich(rm0, traj, ops)
     assert added > 0
     assert rm1.dim == 3 + added
-    new_phi = rm1.basis.modes
+    new_phi = rm1.modes
     for j in range(3):
-        old = rm0.basis.modes[:, j]
+        old = rm0.modes[:, j]
         coeffs = new_phi.T @ (ops.ip @ old)
         assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-10)
 
@@ -628,7 +684,7 @@ def test_enrich_matches_dense_oracle(small_problem, reference_trajectory, monkey
     # is the SVD of C^T err, whose tails are exact.
     h = ops.ip.toarray()
     chol = np.linalg.cholesky(h)
-    snapshots, phi = traj.coeffs.T, basis.modes
+    snapshots, phi = traj.coeffs.T, basis
     err = snapshots - phi @ (phi.T @ (h @ snapshots))
     u, sigma, _ = np.linalg.svd(chol.T @ err)
     tails = np.append(np.cumsum(sigma[::-1] ** 2)[::-1], 0.0)
@@ -642,7 +698,7 @@ def test_enrich_matches_dense_oracle(small_problem, reference_trajectory, monkey
     # enrich decomposes in the coordinates of ip's factor; map the modes back
     new_modes = ops.ip_factor.from_coords(new.modes)
     oracle = la.solve_triangular(chol.T, u[:, :k])
-    union = rm1.basis.modes
+    union = rm1.modes
     assert np.abs(h_residual(oracle, new_modes)).max() < 1e-9
     assert np.abs(h_residual(new_modes, oracle)).max() < 1e-9
     assert np.abs(h_residual(oracle, union)).max() < 1e-9
