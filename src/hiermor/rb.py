@@ -149,7 +149,8 @@ def project(ops: FomOperators, modes: np.ndarray, c0: np.ndarray) -> ReducedMode
     # ip = L D L^T, Y = D^-1/2 L^-1 C has Gramian Y^T Y = C^T ip^-1 C, the
     # representers' Gramian, never formed: contracting it with w would cancel
     # once the residual is small.  The factor is R^T of a pivoted QR of Y, one
-    # row per component [b_1 .. b_Q, M Phi, A_1 Phi .. A_Q Phi].
+    # row per component [b_1 .. b_Q, M Phi, A_1 Phi .. A_Q Phi]; its roundoff
+    # depends on that column order, so the rows are scattered, not reordered.
     y = factor.half_solve(components)
     c_s = float(np.linalg.norm(y[:, -1]))
     riesz_sqrt = _riesz_factor(y[:, :-1])
