@@ -74,7 +74,9 @@ SECTIONS = {"mesh": "mesh", "time": "grid", "parameters": "box", "hierarchy": "h
 def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     entries: dict[tuple[str, str], tuple[str, int]] = {}
     section = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" only, as `load_config` and `grep -n` count them; a CRLF's
+    # "\r" is stripped with the other whitespace
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -201,7 +201,8 @@ class FomOperators:
 
     @cached_property
     def coercivity(self) -> tuple[float, float]:
-        """The pair `coercivity_constants` returns, computed once per operator set."""
+        """The pair `coercivity_constants` returns, computed once per operator set
+        (29 PTTRF calls at 256 cells, 36 at 2048)."""
         ip = _symmetric(self.bands[4])
         return (_pencil_min_eig(_symmetric(self.bands[1]), ip),
                 _pencil_min_eig(_symmetric(self.bands[3]), ip))
@@ -291,27 +292,61 @@ class IpFactor:
         return dtbtrs(self._tbtrs_bands[uplo], rhs, uplo=uplo, diag="U")[0]
 
 
-# Relative width at which the coercivity bisection stops: its bracket [lo, hi]
-# satisfies hi - lo <= COERCIVITY_RTOL * lo.
+# Relative width at which the coercivity bracket search stops: its bracket
+# [lo, hi] satisfies hi - lo <= COERCIVITY_RTOL * lo.
 COERCIVITY_RTOL = 1e-12
 
 
+def _secant_root(s0: float, f0: float, s1: float, f1: float) -> float:
+    """Zero of the line through (s0, f0) and (s1, f1); NaN if it is flat."""
+    return s1 - f1 * (s1 - s0) / (f1 - f0) if f1 != f0 else math.nan
+
+
 def _pencil_min_eig(a, b) -> float:
-    """The lower end of a bisection bracket, relatively COERCIVITY_RTOL wide, on
-    the shifts s at which a - s b (b SPD) factors by Cholesky; a and b are
-    (main, off) band pairs."""
+    """The lower end of a bracket, relatively COERCIVITY_RTOL wide, on the
+    shifts s at which a - s b (b SPD) factors by Cholesky; a and b are (main,
+    off) band pairs.
+
+    The bracket is searched by a safeguarded secant on f(s) = D(n), the last
+    pivot PTTRF returns: positive below the minimal eigenvalue, and still
+    whole (and <= 0) when only that pivot fails (info == n); an earlier
+    failure leaves no value.  A step proposes the regula falsi point of the
+    bracket ends while f(hi) is known, else the secant through the last two
+    successes; an end kept twice in a row has its f halved (Illinois).  A
+    proposal is kept COERCIVITY_RTOL / 2 inside the bracket, so the last step
+    straddles the root.  The midpoint is taken when there is no proposal in
+    the bracket or the search is behind one halving per two factorizations,
+    so no search takes more than twice bisection's calls.
+    """
     (ad, ae), (bd, be) = a, b
-    if dpttrf(ad, ae)[2] != 0:
+    d, _, info = dpttrf(ad, ae)  # the positive-definiteness check is f(0)
+    if info != 0:
         raise ValueError("operator is not positive definite; 0 is no coercivity bound")
+    lo, hi, f_lo, f_hi = 0.0, float(np.min(ad / bd)), float(d[-1]), None
+    prev, kept, calls, width0 = None, None, 0, hi  # prev: (shift, f) of the success before lo
     d, e = np.empty_like(ad), np.empty_like(ae)  # shifted bands, overwritten by PTTRF
-    lo, hi = 0.0, float(np.min(ad / bd))
     while hi - lo > COERCIVITY_RTOL * lo and (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        np.subtract(ad, np.multiply(mid, bd, out=d), out=d)
-        np.subtract(ae, np.multiply(mid, be, out=e), out=e)
-        if dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2] == 0:
-            lo = mid
+        s = mid
+        if calls < 2 * math.log2(width0 / (hi - lo)) + 1:
+            p = (_secant_root(lo, f_lo, hi, f_hi) if f_hi is not None
+                 else _secant_root(*prev, lo, f_lo) if prev else math.nan)
+            if lo < p < hi:
+                margin = 0.5 * COERCIVITY_RTOL * lo
+                s = min(max(p, lo + margin), hi - margin)
+        np.subtract(ad, np.multiply(s, bd, out=d), out=d)
+        np.subtract(ae, np.multiply(s, be, out=e), out=e)
+        info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
+        calls += 1
+        if info == 0:
+            prev, lo, f_lo = (lo, f_lo), s, float(d[-1])
+            if kept == "hi" and f_hi is not None:
+                f_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
+            hi, f_hi = s, float(d[-1]) if info == ad.size else None
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
     return lo
 
 
@@ -320,18 +355,17 @@ def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
 
     Computed once per operator set and cached on it (`FomOperators.coercivity`).
     By Sylvester's law of inertia, a - s ip is positive definite exactly
-    below the pencil's minimal eigenvalue.  Bisection brackets it in
-    [0, min_i a_ii / ip_ii] (0 once a itself factors; a unit vector's
-    Rayleigh quotient is at or above the minimum) and tests each midpoint
-    with one O(n_dofs) tridiagonal Cholesky factorization (LAPACK PTTRF) of
-    the shifted bands.  It stops once hi - lo <= COERCIVITY_RTOL * lo, after
-    O(log(hi_0 / (lo COERCIVITY_RTOL))) factorizations for the first upper
-    end hi_0 (42 and 43 PTTRF calls on the shipped meshes, the first check
-    included).  The value is lo, at which the factorization succeeded, so
-    it stays a lower bound; at hi, a relative COERCIVITY_RTOL above it at
-    most, the factorization failed.  It reads the blocks' and ip's stored
-    bands.  Raises ValueError for an operator whose sub- and superdiagonal
-    differ or that is not positive definite.
+    below the pencil's minimal eigenvalue.  A search (`_pencil_min_eig`)
+    brackets it in [0, min_i a_ii / ip_ii] (0 once a itself factors; a unit
+    vector's Rayleigh quotient is at or above the minimum) and tests each
+    shift with one O(n_dofs) tridiagonal Cholesky factorization (LAPACK
+    PTTRF) of the shifted bands.  It stops once hi - lo <= COERCIVITY_RTOL *
+    lo, after 10 and 19 PTTRF calls at 256 cells and 14 and 22 at 2048, the
+    first check included (42 and 43 by bisection).  The value is lo, at which
+    the factorization succeeded, so it stays a lower bound; at hi, a relative
+    COERCIVITY_RTOL above it at most, the factorization failed.  It reads the
+    blocks' and ip's stored bands.  Raises ValueError for an operator whose
+    sub- and superdiagonal differ or that is not positive definite.
     """
     return ops.coercivity
 

@@ -72,6 +72,20 @@ def test_unknown_key_reports_line():
     assert err.value.lineno == 3
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_line_numbers_count_newlines_only(sep):
+    # str.splitlines would break here too and cite line 4; grep -n says 3
+    with pytest.raises(ConfigError, match="duplicate key mesh.n_cells") as err:
+        parse_config(f"[mesh]\nn_cells = 4{sep}\nn_cells = -4\n")
+    assert err.value.lineno == 3
+
+
+def test_crlf_line_numbers():
+    with pytest.raises(ConfigError, match="duplicate key mesh.n_cells") as err:
+        parse_config("[mesh]\r\nn_cells = 4\r\nn_cells = -4\r\n")
+    assert err.value.lineno == 3
+
+
 def test_bad_value_reports_line():
     text = "[mesh]\nn_cells = soon\n[sweep]\nseed = 1\n"
     with pytest.raises(ConfigError) as err:

@@ -412,6 +412,93 @@ def test_pencil_min_eig_is_certified_and_tight_on_random_pencils(seed):
     assert gamma == pytest.approx(scipy.linalg.eigh(*dense, eigvals_only=True)[0], rel=1e-9)
 
 
+def _counting_dpttrf(monkeypatch) -> list:
+    """fem's PTTRF, patched to append to the returned list per call."""
+    calls = []
+    monkeypatch.setattr(fem, "dpttrf", lambda *args, **kw: calls.append(1) or dpttrf(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("n_cells, most", [(256, 42), (2048, 43)])
+def test_coercivity_constants_take_half_bisections_factorizations(monkeypatch, n_cells, most):
+    # plain bisection took 42 + 43 calls on both meshes
+    ops = assemble(MeshSpec(n_cells))
+    calls = _counting_dpttrf(monkeypatch)
+    ops.coercivity
+    assert len(calls) <= most
+
+
+def _bisection_calls(a, b) -> int:
+    """PTTRF calls of plain bisection to the same stop rule, the first check included."""
+    (ad, _), (bd, _) = a, b
+    calls, lo, hi = 1, 0.0, float(np.min(ad / bd))
+    while hi - lo > fem.COERCIVITY_RTOL * lo and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        calls += 1
+        lo, hi = (mid, hi) if _factors(a, b, mid) else (lo, mid)
+    return calls
+
+
+def _joined(x, y, coupling):
+    """Bands of the block-tridiagonal matrix [x, 0; 0, y] plus `coupling` at the seam."""
+    return np.concatenate([x[0], y[0]]), np.concatenate([x[1], [coupling], y[1]])
+
+
+def _decoupled_pencil():
+    # the minimal eigenvector lives in the first block, so the last pivot
+    # D(n), a function of the second block alone, stays positive through it
+    lap, tri = (np.full(20, 2.0), np.full(19, -1.0)), (np.full(20, 4.0), np.full(19, 1.0))
+    return _joined(lap, (lap[0] + 0.5, lap[1]), 0.0), _joined(tri, tri, 0.0)
+
+
+def _near_double_pencil():
+    # a random block and its mirror image, coupled by 2e-11: the two smallest
+    # eigenvalues are about 1e-10 apart, relatively
+    rng = np.random.default_rng(5)
+    off = rng.uniform(-1.0, 1.0, 19)
+    main = rng.uniform(0.01, 1.0, 20) + np.append(np.abs(off), 0) + np.insert(np.abs(off), 0, 0)
+    return _joined((main, off), (main[::-1], off[::-1]), 2e-11), (np.ones(40), np.zeros(39))
+
+
+def _random_pencil(seed):
+    # the pencils of test_pencil_min_eig_is_certified_and_tight_on_random_pencils
+    rng = np.random.default_rng(seed)
+
+    def spd_bands():
+        off = rng.uniform(-1.0, 1.0, 39)
+        return rng.uniform(0.01, 1.0, 40) + np.append(np.abs(off), 0) + np.insert(np.abs(off), 0, 0), off
+
+    return spd_bands(), spd_bands()
+
+
+@pytest.mark.parametrize("pencil", [_decoupled_pencil, _near_double_pencil,
+                                    *(lambda s=s: _random_pencil(s) for s in range(4))],
+                         ids=["decoupled", "near_double", *(f"random{s}" for s in range(4))])
+def test_pencil_min_eig_takes_at_most_twice_bisections_calls(monkeypatch, pencil):
+    a, b = pencil()
+    calls = _counting_dpttrf(monkeypatch)
+    gamma = fem._pencil_min_eig(a, b)
+    _assert_certified_and_tight(a, b, gamma)
+    assert len(calls) <= 2 * _bisection_calls(a, b)
+    dense = [np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in (a, b)]
+    low = scipy.linalg.eigh(*dense, eigvals_only=True)[:2]
+    assert gamma == pytest.approx(low[0], rel=1e-9)
+    if pencil is _near_double_pencil:
+        assert low[1] - low[0] < 2e-10 * low[0]
+
+
+@pytest.mark.parametrize("pencil", [_decoupled_pencil, lambda: _random_pencil(0)],
+                         ids=["decoupled", "random0"])
+def test_pencil_min_eig_bounds_its_calls_whatever_the_secant_proposes(monkeypatch, pencil):
+    # proposals that creep a thousandth of the way from the end they are
+    # given toward the root never halve the bracket; the midpoint rule must
+    a, b = pencil()
+    gamma = fem._pencil_min_eig(a, b)
+    monkeypatch.setattr(fem, "_secant_root", lambda s0, f0, s1, f1: s1 + 1e-3 * (gamma - s1))
+    calls = _counting_dpttrf(monkeypatch)
+    _assert_certified_and_tight(a, b, fem._pencil_min_eig(a, b))
+    assert len(calls) <= 2 * _bisection_calls(a, b)
+
+
 def test_advection_quadratic_form_nonnegative():
     ops = assemble(MeshSpec(64))
     rng = np.random.default_rng(7)
