@@ -38,12 +38,8 @@ rm, added = enrich(project(ops, np.zeros((ops.n_dofs, 0)), c0), traj, ops)
 print(f"basis dimension after one enrichment: {rm.dim}\n")
 print(f"{'Da':>8} {'Pe':>8} {'true error':>12} {'bound':>12} {'effectivity':>12}")
 
-rng = np.random.default_rng(SEED)
 effectivities = []
-for _ in range(N_SAMPLES):
-    mu = ParameterPoint(
-        rng.uniform(box.da_min, box.da_max), rng.uniform(box.pe_min, box.pe_max)
-    )
+for mu in box.points(np.random.default_rng(SEED).random((N_SAMPLES, 2))):
     _, f_h = solve_fom(ops, mu, grid, c0)
     rtraj, f_rb = solve_rb(rm, mu, grid)
     err = qoi_norm(QoiVector(f_h.values - f_rb.values, grid.dt))

@@ -141,25 +141,20 @@ def validate_run(config: RunConfig, n_validation: int) -> ValidationReport:
     sweep so repeated invocations are reproducible.
     """
     state, _ = _execute_sweep(config)
+    rng = np.random.default_rng([0 if config.sweep.seed is None else config.sweep.seed, 1])
     rows = []
-    if n_validation > 0:
-        rng = np.random.default_rng([0 if config.sweep.seed is None else config.sweep.seed, 1])
-        box = config.box
-        for _ in range(n_validation):
-            mu = ParameterPoint(
-                rng.uniform(box.da_min, box.da_max), rng.uniform(box.pe_min, box.pe_max)
+    for mu in config.box.points(rng.random((n_validation, 2))):
+        _, f_h = solve_fom(state.ops, mu, state.grid, state.c0)
+        cert = state.certify(mu)
+        rows.append(
+            ValidationRow(
+                mu=mu,
+                rb_error=qoi_norm(QoiVector(f_h.values - cert.f_rb.values, f_h.dt)),
+                delta_rb=cert.delta_rb,
+                ml_error=qoi_norm(QoiVector(f_h.values - cert.f_ml.values, f_h.dt)),
+                certificate=cert.value,
             )
-            _, f_h = solve_fom(state.ops, mu, state.grid, state.c0)
-            cert = state.certify(mu)
-            rows.append(
-                ValidationRow(
-                    mu=mu,
-                    rb_error=qoi_norm(QoiVector(f_h.values - cert.f_rb.values, f_h.dt)),
-                    delta_rb=cert.delta_rb,
-                    ml_error=qoi_norm(QoiVector(f_h.values - cert.f_ml.values, f_h.dt)),
-                    certificate=cert.value,
-                )
-            )
+        )
     return ValidationReport(rows)
 
 

@@ -100,36 +100,11 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     return entries
 
 
-class _Entries:
-    """Typed access to the parsed key/value pairs with consumption tracking."""
-
-    def __init__(self, entries):
-        self._entries = entries
-        self._seen: set[tuple[str, str]] = set()
-
-    def get(self, section, key, conv, default):
-        item = self._entries.get((section, key))
-        if item is None:
-            return default
-        self._seen.add((section, key))
-        value, lineno = item
-        try:
-            return conv(value)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: {exc}", lineno) from None
-
-    def lineno(self, section, key) -> int | None:
-        """Line of section.key, else of the section's first key, else None."""
-        item = self._entries.get((section, key))
-        lines = (lineno for (sec, _), (_, lineno) in self._entries.items() if sec == section)
-        return item[1] if item else next(lines, None)
-
-    def unknown(self):
-        return [
-            (sec, key, lineno)
-            for (sec, key), (_, lineno) in self._entries.items()
-            if (sec, key) not in self._seen
-        ]
+def _lineno(entries, section, key) -> int | None:
+    """Line of section.key, else of the section's first key, else None."""
+    item = entries.get((section, key))
+    lines = (lineno for (sec, _), (_, lineno) in entries.items() if sec == section)
+    return item[1] if item else next(lines, None)
 
 
 def _to_int(value: str) -> int:
@@ -176,18 +151,25 @@ def _keys(cls) -> list[tuple[str, typing.Callable]]:
 
 def parse_config(text: str) -> RunConfig:
     """Build a validated RunConfig from config text; raises ConfigError."""
-    ent = _Entries(_parse_lines(text))
+    entries = _parse_lines(text)
+    unread = dict(entries)
 
     def build(section, default):
         """`default` with the section's keys set, checked by its dataclass."""
-        values = {name: ent.get(section, name, conv, getattr(default, name))
-                  for name, conv in _keys(type(default))}
+        values = {}
+        for name, conv in _keys(type(default)):
+            if (section, name) in unread:
+                value, lineno = unread.pop((section, name))
+                try:
+                    values[name] = conv(value)
+                except ValueError as exc:
+                    raise ConfigError(f"{section}.{name}: {exc}", lineno) from None
         try:
             return dataclasses.replace(default, **values)
         except ValueError as exc:
             # Every validation message starts with the offending field's name.
             key = str(exc).split(" ", 1)[0]
-            raise ConfigError(f"{section}.{exc}", ent.lineno(section, key)) from None
+            raise ConfigError(f"{section}.{exc}", _lineno(entries, section, key)) from None
 
     defaults = RunConfig()
     parts = {}
@@ -196,13 +178,13 @@ def parse_config(text: str) -> RunConfig:
         parts[name] = build(section, default)
     config = build("output", dataclasses.replace(defaults, **parts))
 
-    for sec, key, lineno in ent.unknown():
+    for (sec, key), (_, lineno) in unread.items():
         raise ConfigError(f"unknown key {sec}.{key}", lineno)
 
     if config.sweep.sampler == "uniform_random" and config.sweep.seed is None:
         raise ConfigError(
             "sweep.seed is mandatory for the uniform_random sampler",
-            ent.lineno("sweep", "sampler"),
+            _lineno(entries, "sweep", "sampler"),
         )
     return config
 
@@ -220,27 +202,12 @@ def load_config(path) -> RunConfig:
 def sample_parameters(sweep: SweepConfig, box: ParameterBox) -> list[ParameterPoint]:
     """Deterministic query sequence for the configured sampler."""
     count = sweep.n_queries
-    if count == 0:
-        return []
     if sweep.sampler == "uniform_random":
-        rng = np.random.default_rng(sweep.seed)
-        out = []
-        for _ in range(count):
-            da = rng.uniform(box.da_min, box.da_max)
-            pe = rng.uniform(box.pe_min, box.pe_max)
-            out.append(ParameterPoint(da, pe))
-        return out
+        return box.points(np.random.default_rng(sweep.seed).random((count, 2)))
     if sweep.sampler == "halton":
         from scipy.stats import qmc
 
-        points = qmc.Halton(d=2, scramble=False).random(count)
-        return [
-            ParameterPoint(
-                box.da_min + (box.da_max - box.da_min) * p[0],
-                box.pe_min + (box.pe_max - box.pe_min) * p[1],
-            )
-            for p in points
-        ]
+        return box.points(qmc.Halton(d=2, scramble=False).random(count))
     # grid: row-major lattice, first `count` points
     k = math.ceil(math.sqrt(count))
     das = np.linspace(box.da_min, box.da_max, k)

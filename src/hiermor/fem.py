@@ -92,6 +92,14 @@ class ParameterBox:
         return (self.da_min <= mu.da <= self.da_max
                 and self.pe_min <= mu.pe <= self.pe_max)
 
+    def points(self, unit: np.ndarray) -> list[ParameterPoint]:
+        """Map the rows (u_da, u_pe) of an (n, 2) array of draws from the unit
+        square to the points low + (high - low) * u, as `Generator.uniform`
+        maps its draws."""
+        low = np.array([self.da_min, self.pe_min])
+        high = np.array([self.da_max, self.pe_max])
+        return [ParameterPoint(da, pe) for da, pe in (low + (high - low) * unit).tolist()]
+
     def corners(self) -> list[ParameterPoint]:
         """The four outermost points of the box."""
         return [

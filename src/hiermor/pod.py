@@ -27,6 +27,8 @@ __all__ = ["PodBasis", "pod", "hapod", "h_orthonormalize"]
 
 # Relative singular value below which modes are treated as numerically zero.
 RANK_CUTOFF = 1e-12
+# Relative H-norm at or below which `h_orthonormalize` drops a column.
+DROP_TOL = 1e-10
 # Sketch columns beyond the requested rank, and the seed of the Gaussian
 # sketch (Halko, Martinsson & Tropp 2011, SIAM Rev. 53(2), sec. 4).  Each
 # sketch is drawn from its own generator, so no other random state moves its bits.
@@ -109,14 +111,12 @@ def _mapped_out(factor, u: np.ndarray, sigma: np.ndarray) -> PodBasis:
     return PodBasis(_fix_signs(factor.from_coords(u)), sigma)
 
 
-def h_orthonormalize(
-    vectors: np.ndarray, ip, drop_tol: float = 1e-10
-) -> tuple[np.ndarray, list[int]]:
+def h_orthonormalize(vectors: np.ndarray, ip) -> tuple[np.ndarray, list[int]]:
     """H-orthonormal basis of the columns' span from Householder QRs of Y = D^1/2 L^T V.
 
     |R_jj| of the QR of Y is the H-norm of column j's part H-orthogonal to
     the columns before it; the column is dropped when that is at most
-    `drop_tol` * max(||v_j||_H, 1).  The QR of the kept columns, signed so
+    DROP_TOL * max(||v_j||_H, 1).  The QR of the kept columns, signed so
     that diag R > 0, gives the basis: its leading columns span the leading
     kept columns, and leading H-orthonormal columns return unchanged to roundoff.
     Returns the basis and the indices of the kept columns; `ip` is as for `pod`.
@@ -126,7 +126,7 @@ def h_orthonormalize(
     q, r = _qr(y)
     reach = np.abs(np.diag(r))
     refs = np.linalg.norm(y[:, : reach.size], axis=0)
-    kept = np.flatnonzero(reach > drop_tol * np.maximum(refs, 1.0)).tolist()
+    kept = np.flatnonzero(reach > DROP_TOL * np.maximum(refs, 1.0)).tolist()
     if len(kept) < y.shape[1]:
         q, r = _qr(y[:, kept])
     q[:, np.diag(r) < 0.0] *= -1.0

@@ -18,6 +18,8 @@ __all__ = ["summary_text", "timing_scatter_svg", "BRANCH_COLORS"]
 
 BRANCH_COLORS = {"FOM": "#d62728", "RB": "#1f77b4", "ML": "#2ca02c"}
 BRANCHES = ("FOM", "RB", "ML")
+# Size of the scatter plot in SVG user units (pixels).
+WIDTH, HEIGHT = 860, 420
 
 
 def summary_text(records: list[QueryRecord]) -> str:
@@ -44,11 +46,11 @@ def summary_text(records: list[QueryRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def timing_scatter_svg(records: list[QueryRecord], width: int = 860, height: int = 420) -> str:
+def timing_scatter_svg(records: list[QueryRecord]) -> str:
     """Figure-style scatter of per-query wall time, log scale, one dot per query."""
     margin = {"left": 70, "right": 150, "top": 30, "bottom": 50}
-    plot_w = width - margin["left"] - margin["right"]
-    plot_h = height - margin["top"] - margin["bottom"]
+    plot_w = WIDTH - margin["left"] - margin["right"]
+    plot_h = HEIGHT - margin["top"] - margin["bottom"]
 
     times = [max(r.wall_time, 1e-9) for r in records]
     logs = [math.log10(t) for t in times] or [0.0]
@@ -65,9 +67,9 @@ def timing_scatter_svg(records: list[QueryRecord], width: int = 860, height: int
         return margin["top"] + plot_h * (hi - logt) / (hi - lo)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{margin["left"]}" y="18" font-family="sans-serif" font-size="14">'
         "query time per model tier</text>",
     ]
@@ -97,7 +99,7 @@ def timing_scatter_svg(records: list[QueryRecord], width: int = 860, height: int
             f'font-family="sans-serif" font-size="11">{tick}</text>'
         )
     parts.append(
-        f'<text x="{x0 + plot_w / 2:.2f}" y="{height - 12}" text-anchor="middle" '
+        f'<text x="{x0 + plot_w / 2:.2f}" y="{HEIGHT - 12}" text-anchor="middle" '
         'font-family="sans-serif" font-size="12">query index</text>'
     )
     parts.append(
@@ -112,7 +114,7 @@ def timing_scatter_svg(records: list[QueryRecord], width: int = 860, height: int
             f'fill="{BRANCH_COLORS[rec.model_used]}" fill-opacity="0.8"/>'
         )
 
-    lx = width - margin["right"] + 16
+    lx = WIDTH - margin["right"] + 16
     for i, branch in enumerate(BRANCHES):
         ly = margin["top"] + 16 + 20 * i
         parts.append(f'<circle cx="{lx}" cy="{ly}" r="5" fill="{BRANCH_COLORS[branch]}"/>')

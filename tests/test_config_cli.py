@@ -233,16 +233,32 @@ def test_uniform_sampler_deterministic():
     b = sample_parameters(sweep, box)
     assert a == b
     assert all(box.contains(mu) for mu in a)
+    # the leading draws at the desk seed, on which the sweep's answers depend
+    pts = sample_parameters(SweepConfig(n_queries=9, sampler="uniform_random", seed=42), box)
+    assert [(mu.da.hex(), mu.pe.hex()) for mu in pts[:3]] == [
+        ("0x1.f0c74f3532263p+2", "0x1.63977b3e1e6b9p+5"),
+        ("0x1.13342d9d692dep+3", "0x1.1828619dca08dp+6"),
+        ("0x1.0848774eb1cdep+0", "0x1.8658b1076c7c5p+6"),
+    ]
 
 
 def test_halton_and_grid_samplers():
     box = ParameterBox()
+    leading = {
+        "halton": [("0x1.999999999999ap-4", "0x1.0000000000000p+0"),
+                   ("0x1.4333333333333p+2", "0x1.1000000000000p+5"),
+                   ("0x1.499999999999ap+1", "0x1.0c00000000000p+6")],
+        "grid": [("0x1.999999999999ap-4", "0x1.0000000000000p+0"),
+                 ("0x1.999999999999ap-4", "0x1.9400000000000p+5"),
+                 ("0x1.999999999999ap-4", "0x1.9000000000000p+6")],
+    }
     for sampler in ("halton", "grid"):
-        sweep = SweepConfig(n_queries=9, sampler=sampler)
+        sweep = SweepConfig(n_queries=9, sampler=sampler, seed=42)
         pts = sample_parameters(sweep, box)
         assert len(pts) == 9
         assert all(box.contains(mu) for mu in pts)
         assert len(set(pts)) == 9
+        assert [(mu.da.hex(), mu.pe.hex()) for mu in pts[:3]] == leading[sampler]
 
 
 def test_zero_queries():
@@ -362,9 +378,11 @@ def test_seed_override_changes_sweep(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(path), "--out-dir", str(out1), "--seed", "7"]) == 0
     assert main(["run", str(path), "--out-dir", str(out2), "--seed", "8"]) == 0
-    da1 = list(csv.DictReader(open(out1 / "queries.csv")))[0]["da"]
-    da2 = list(csv.DictReader(open(out2 / "queries.csv")))[0]["da"]
-    assert da1 != da2
+    das = []
+    for out in (out1, out2):
+        with open(out / "queries.csv") as fh:
+            das.append(next(csv.DictReader(fh))["da"])
+    assert das[0] != das[1]
 
 
 # -- cli exit codes -------------------------------------------------------------------
@@ -431,6 +449,12 @@ def test_validate_report_structure(tmp_path):
     config = load_config(write_small_config(tmp_path))
     report = validate_run(config, 3)
     assert len(report.rows) == 3
+    # drawn from default_rng([7, 1]), 7 being the config's sweep seed
+    assert [(r.mu.da.hex(), r.mu.pe.hex()) for r in report.rows] == [
+        ("0x1.ee5c7e9620ff2p+2", "0x1.00f0affe70fc7p+1"),
+        ("0x1.f8d96b6a29bd1p+0", "0x1.3844b9e17c926p+1"),
+        ("0x1.18186f20275e6p+2", "0x1.60fedf9d4c3e4p+2"),
+    ]
     assert report.n_violations == 0
     for row in report.rows:
         assert row.rb_error <= row.delta_rb + 1e-10
