@@ -200,9 +200,12 @@ def load_config(path) -> RunConfig:
 
 
 def sample_parameters(sweep: SweepConfig, box: ParameterBox) -> list[ParameterPoint]:
-    """Deterministic query sequence for the configured sampler."""
+    """Deterministic query sequence for the configured sampler; ValueError for
+    a `uniform_random` sweep without a seed, which would draw from OS entropy."""
     count = sweep.n_queries
     if sweep.sampler == "uniform_random":
+        if sweep.seed is None:
+            raise ValueError("seed is mandatory for the uniform_random sampler")
         return box.points(np.random.default_rng(sweep.seed).random((count, 2)))
     if sweep.sampler == "halton":
         from scipy.stats import qmc

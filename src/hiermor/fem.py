@@ -182,9 +182,9 @@ class FomOperators:
     (Q x n_dofs) is b_q.
 
     Treated as immutable after assembly (solvers for distinct parameters may
-    share one instance).  `ip_factor` and `coercivity` are computed on first
-    use and cached on the instance; a `dataclasses.replace`d set computes its
-    own, and its own views.
+    share one instance).  `ip_factor`, `coercivity` and `term_sources` are
+    computed on first use and cached on the instance; a `dataclasses.replace`d
+    set computes its own, and its own views.
     """
 
     bands: np.ndarray
@@ -206,6 +206,17 @@ class FomOperators:
     def ip_factor(self) -> IpFactor:
         """ip's factor, factored once per operator set."""
         return IpFactor.of_bands(*_symmetric(self.bands[4]))
+
+    @cached_property
+    def term_sources(self) -> tuple[int, ...]:
+        """For each affine term [mass, A_1 .. A_Q], the index of the first term
+        whose bands are bitwise equal to its own (its own index if no earlier
+        one is): (0, 1, 2, 0) for `assemble`'s operators, whose reaction block
+        is the mass.  A term's products with a basis have the bits of its
+        source's, so callers compute them once per source.  Found once per
+        operator set, by comparing the terms' bytes."""
+        terms = [term.tobytes() for term in self.bands[:-1]]
+        return tuple(terms.index(term) for term in terms)
 
     @cached_property
     def coercivity(self) -> tuple[float, float]:
@@ -450,11 +461,15 @@ def solve_fom(
     The step matrix's bands, mass + dt A(mu) formed on `FomOperators.bands`
     with the operations of the sparse sum, are factorized once by LAPACK
     GTTRF.  Each step forms its right-hand side from the mass bands in the
-    trajectory's next row, with one preallocated buffer for the
-    off-diagonal products, and solves there with GTTRS.  Raises
-    RuntimeError when the step matrix is exactly singular.  `source`, when
-    given, must return an already assembled load vector; it is a hook for
-    manufactured-solution studies and is None in production runs.
+    trajectory's next row and solves there with GTTRS: six ufunc calls
+    writing through `out=` (the diagonal product, the sub- and
+    superdiagonal products into one preallocated buffer, each added to its
+    shifted row view, then the load added), one positional GTTRS call, and
+    nothing else per step; the row views and `source`'s time points are
+    made once before the loop.  Raises RuntimeError when the step matrix is
+    exactly singular.  `source`, when given, must return an already
+    assembled load vector; it is a hook for manufactured-solution studies
+    and is None in production runs.
     """
     if c0.shape != (ops.n_dofs,):
         raise ValueError("c0 has wrong length")
@@ -468,14 +483,17 @@ def solve_fom(
 
     coeffs = np.empty((grid.n_steps + 1, ops.n_dofs))
     coeffs[0] = c0
+    rows, heads, tails = list(coeffs), list(coeffs[:, :-1]), list(coeffs[:, 1:])
+    times = grid.times().tolist()
     off = np.empty(ops.n_dofs - 1)
-    for k, t in enumerate(grid.times()):
-        c, rhs = coeffs[k], coeffs[k + 1]
-        np.multiply(m_diag, c, out=rhs)
-        rhs[1:] += np.multiply(m_sub, c[:-1], out=off)
-        rhs[:-1] += np.multiply(m_sup, c[1:], out=off)
-        rhs += dt_b
+    multiply, add = np.multiply, np.add  # local names: called 6 n_steps times
+    for k in range(grid.n_steps):
+        rhs, head, tail = rows[k + 1], heads[k + 1], tails[k + 1]
+        multiply(m_diag, rows[k], out=rhs)
+        add(tail, multiply(m_sub, heads[k], out=off), out=tail)
+        add(head, multiply(m_sup, tails[k], out=off), out=head)
+        add(rhs, dt_b, out=rhs)
         if source is not None:
-            rhs += dt * source(t)
-        dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+            add(rhs, dt * source(times[k]), out=rhs)
+        dgttrs(dl, d, du, du2, ipiv, rhs, "N", 1)
     return Trajectory(coeffs), QoiVector(coeffs[1:] @ ops.output, dt)

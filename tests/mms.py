@@ -14,9 +14,11 @@ def exact(x, t):
     return np.exp(-t) * np.sin(np.pi * x)
 
 
-def error_l2l2(n_cells: int, n_steps: int, mu: ParameterPoint, t_end: float = 1.0) -> float:
-    """Discrete L2(0,T; L2) distance between the FOM and the nodal exact solution."""
-    mesh, grid = MeshSpec(n_cells), TimeGrid(t_end, n_steps)
+def manufactured(n_cells: int, mu: ParameterPoint):
+    """(ops, nodes, source) of the manufactured problem on n_cells cells: the
+    operators with a zero inflow value, the free nodes and the load hook that
+    `solve_fom` takes; the initial state is sin(pi * nodes)."""
+    mesh = MeshSpec(n_cells)
     ops = assemble(mesh, inflow_value=0.0)
     h = mesh.h
     nodes = h * np.arange(1, n_cells + 1)
@@ -32,6 +34,13 @@ def error_l2l2(n_cells: int, n_steps: int, mu: ParameterPoint, t_end: float = 1.
         vec[-1] += -(np.pi / mu.pe) * decay  # exact diffusive flux at the outflow
         return vec
 
+    return ops, nodes, source
+
+
+def error_l2l2(n_cells: int, n_steps: int, mu: ParameterPoint, t_end: float = 1.0) -> float:
+    """Discrete L2(0,T; L2) distance between the FOM and the nodal exact solution."""
+    grid = TimeGrid(t_end, n_steps)
+    ops, nodes, source = manufactured(n_cells, mu)
     traj, _ = solve_fom(ops, mu, grid, np.sin(np.pi * nodes), source=source)
     err_sq = 0.0
     for k, t in enumerate(grid.times(), start=1):

@@ -242,6 +242,15 @@ def test_uniform_sampler_deterministic():
     ]
 
 
+def test_uniform_sampler_without_seed_raises():
+    config = RunConfig()  # constructible: the seed is checked where the sweep draws
+    assert config.sweep.sampler == "uniform_random" and config.sweep.seed is None
+    with pytest.raises(ValueError, match="seed"):
+        sample_parameters(SweepConfig(n_queries=2), ParameterBox())
+    with pytest.raises(ValueError, match="seed"):
+        _execute_sweep(RunConfig(mesh=MeshSpec(16), grid=TimeGrid(1.0, 16)))
+
+
 def test_halton_and_grid_samplers():
     box = ParameterBox()
     leading = {

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -149,6 +150,12 @@ def test_ip_factor_is_factored_once_per_operator_set(monkeypatch):
     assert np.array_equal(scaled.ip_factor.sub, factor.sub)
     assert coercivity_constants(scaled) == pytest.approx((pair[0] / 4, pair[1] / 4), rel=1e-12)
     assert len(pencils) == 4
+    # and the map to the first bitwise-equal term: assemble's reaction block is the mass
+    assert ops.term_sources == (0, 1, 2, 0) and ops.term_sources is ops.term_sources
+    assert scaled.term_sources == (0, 1, 2, 0)
+    doubled = ops.bands.copy()
+    doubled[3] *= 2.0
+    assert dataclasses.replace(ops, bands=doubled).term_sources == (0, 1, 2, 3)
 
 
 def test_mesh_and_grid_validation():
@@ -332,6 +339,31 @@ def test_step_bands_have_the_bits_of_the_sparse_step_matrix(desk_problem, mu, mo
     (sub, diag, sup), = factored
     for k, band in zip((-1, 0, 1), (sub, diag, sup)):
         assert band.tobytes() == want.diagonal(k).tobytes()
+
+
+# sha256 of `solve_fom(...).coeffs` from zero, on the desk mesh and grid
+MARCH_SHA256 = {
+    ParameterPoint(2.0, 30.0): "43b96f21da7b8b78aed507b3908a33bad00b68e05e432e301a8d0fd3949bc1e8",
+    ParameterPoint(0.1, 1.0): "3c5cc8b2dd1b86dc16413ba9275672d50cf55604757b1fec0fb17b0cd55745d9",
+    ParameterPoint(0.1, 100.0): "da4c3a50a5b04c7b57d81e533049f7ed7b2b665f8ba57732576fdfd987d49660",
+    ParameterPoint(10.0, 1.0): "228ad4e09279184d475b2f9783db536b68847f07f3c5f74cc62ee75f536c0b8d",
+    ParameterPoint(10.0, 100.0): "699c680424649593b07fe4e7c7899ff86205d961a199d7cfa858a6346fc2d11b",
+}
+
+
+@pytest.mark.parametrize("mu", _box_corners_and_interior(), ids=str)
+def test_solve_fom_trajectory_bits_are_pinned(desk_problem, mu):
+    ops, grid = desk_problem
+    traj, _ = solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
+    assert hashlib.sha256(traj.coeffs.tobytes()).hexdigest() == MARCH_SHA256[mu]
+
+
+def test_solve_fom_trajectory_bits_are_pinned_with_source():
+    mu = ParameterPoint(1.0, 5.0)
+    ops, nodes, source = mms.manufactured(32, mu)
+    traj, _ = solve_fom(ops, mu, TimeGrid(1.0, 128), np.sin(np.pi * nodes), source)
+    assert (hashlib.sha256(traj.coeffs.tobytes()).hexdigest()
+            == "db4d7b687848e2fbc423c0d8eacad168d8a2a906b42be789c9c68f7ee4bbd175")
 
 
 def test_solve_fom_does_not_build_the_sparse_step_matrix(small_problem, monkeypatch):

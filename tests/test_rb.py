@@ -176,15 +176,46 @@ def test_riesz_sqrt_factors_brute_force_gram(small_problem):
     assert np.abs(rows @ rows.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
-@pytest.mark.parametrize("n_cells, r", [(32, 0), (32, 3), (256, 12), (256, 28)])
-def test_riesz_sqrt_drops_at_most_tolerance_per_component(n_cells, r):
-    # react == mass, so the representers are dependent and the factor has
-    # fewer than 3 + 4r columns; the three loads are multiples of e_1, so the
-    # empty basis needs one.  A pivoted QR of G^-1 C, H = G G^T by a dense
-    # Cholesky, gives each component's lost H-norm as a tail of R's column.
+def twice_mass_reaction(ops):
+    """`ops` with the reaction block 2 M: no term is bitwise equal to another."""
+    bands = ops.bands.copy()
+    bands[3] *= 2.0
+    return dataclasses.replace(ops, bands=bands)
+
+
+@pytest.fixture
+def qr_widths(monkeypatch):
+    """The column counts of the matrices `project` hands to its pivoted QR."""
+    widths, qr = [], rb_mod.dgeqp3
+
+    def record(y, **kwargs):
+        widths.append(y.shape[1])
+        return qr(y, **kwargs)
+
+    monkeypatch.setattr(rb_mod, "dgeqp3", record)
+    return widths
+
+
+@pytest.mark.parametrize("n_cells, r, twice_mass",
+                         [(32, 0, False), (32, 3, False), (256, 12, False), (256, 28, False),
+                          (32, 3, True)],
+                         ids=["32-0", "32-3", "256-12", "256-28", "32-3-twice_mass"])
+def test_riesz_sqrt_drops_at_most_tolerance_per_component(n_cells, r, twice_mass, qr_widths):
+    # react is a multiple of mass, so the representers are dependent and the
+    # factor has fewer than 3 + 4r columns; the three loads are multiples of
+    # e_1, so the empty basis needs one.  A pivoted QR of G^-1 C, H = G G^T by
+    # a dense Cholesky, gives each component's lost H-norm as a tail of R's
+    # column.  React == mass bitwise is factored once, its rows copied from
+    # the mass block's; 2 mass is a term of its own.
     ops = assemble(MeshSpec(n_cells))
+    if twice_mass:
+        ops = twice_mass_reaction(ops)
     basis = random_basis(ops, r, seed=6) if r else empty_basis(ops.n_dofs)
     rm = project(ops, basis, np.zeros(ops.n_dofs))
+    assert qr_widths == [3 + (4 if twice_mass else 3) * r]
+    if not twice_mass:
+        riesz = rm.riesz_terms.reshape(4, r + 1, -1)
+        assert riesz[3, :r].tobytes() == riesz[0, :r].tobytes()
     rows = riesz_rows(rm)
     q = rows.shape[1]
     assert q < 3 + 4 * r
@@ -216,11 +247,15 @@ def test_riesz_sqrt_of_full_space_basis(small_problem):
     assert np.abs(rows @ rows.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
-@pytest.mark.parametrize("n_cells", [16, 256])
-def test_riesz_gram_against_brute_force(n_cells):
-    # react == mass, so the representers are linearly dependent and the
-    # orthonormalization drops columns; the dual norms must not notice
+@pytest.mark.parametrize("n_cells, twice_mass", [(16, False), (256, False), (16, True)],
+                         ids=["16", "256", "16-twice_mass"])
+def test_riesz_gram_against_brute_force(n_cells, twice_mass):
+    # react is a multiple of mass, so the representers are linearly dependent
+    # and the orthonormalization drops columns; the dual norms must not notice,
+    # whether react's rows are copied from the mass block's or factored
     ops = assemble(MeshSpec(n_cells))
+    if twice_mass:
+        ops = twice_mass_reaction(ops)
     grid = TimeGrid(1.0, 12)
     mu = ParameterPoint(1.2, 8.0)
     basis = random_basis(ops, 3, seed=5)
