@@ -17,9 +17,10 @@ all stored matrices and vectors stay parameter independent:
     A(mu) = sum_q theta_q(mu) A_q,  b(mu) = sum_q theta_q(mu) b_q,  theta(mu) = (1/pe, 1, da).
 
 Every operator is tridiagonal and is stored once, as its DIA bands
-(`FomOperators.bands`); the time stepping, the H inner product solves and the
-coercivity constants call the LAPACK tridiagonal routines on those bands.
-This module alone knows that format.
+(`FomOperators.bands`); the reaction's operator is the mass, read from the
+mass's bands (`TERM_BANDS`).  The time stepping, the H inner product solves
+and the coercivity constants call the LAPACK tridiagonal routines on those
+bands.  This module alone knows that format.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "system_matrix",
     "load_vector",
     "theta",
+    "TERM_BANDS",
     "affine",
     "tridiagonal",
     "coercivity_constants",
@@ -172,19 +174,20 @@ class Trajectory:
 class FomOperators:
     """Assembled, parameter-independent FEM blocks on the free nodes 1 .. n_cells.
 
-    Each operator is stored once, in the read-only (5, 3, n_dofs) `bands`: mass,
-    the affine terms A_q in theta order (diffusion, advection, and reaction,
-    equal to mass) and ip, the discrete H1 inner product mass + diffusion used
-    for all orthogonality and dual norms.  Each block is DIA data at offsets
-    (-1, 0, 1): the subdiagonal with its trailing entry unused, the diagonal,
-    and the superdiagonal with its leading entry unused.  `mass`, `blocks`
-    and `ip` are `sp.dia_matrix` views of that memory.  Row q of `loads`
-    (Q x n_dofs) is b_q.
+    Each operator is stored once, in the read-only (4, 3, n_dofs) `bands`:
+    mass, diffusion, advection and ip, the discrete H1 inner product mass +
+    diffusion used for all orthogonality and dual norms.  Each block is DIA
+    data at offsets (-1, 0, 1): the subdiagonal with its trailing entry
+    unused, the diagonal, and the superdiagonal with its leading entry
+    unused.  `operators` (mass, diffusion, advection) and `ip` are
+    `sp.dia_matrix` views of that memory; `mass` and `blocks` (the A_q in
+    theta order) are those views picked by `TERM_BANDS`, so the reaction
+    block is the mass itself.  Row q of `loads` (Q x n_dofs) is b_q.
 
     Treated as immutable after assembly (solvers for distinct parameters may
-    share one instance).  `ip_factor`, `coercivity` and `term_sources` are
-    computed on first use and cached on the instance; a `dataclasses.replace`d
-    set computes its own, and its own views.
+    share one instance).  `ip_factor` and `coercivity` are computed on first
+    use and cached on the instance; a `dataclasses.replace`d set computes its
+    own, and its own views.
     """
 
     bands: np.ndarray
@@ -194,8 +197,10 @@ class FomOperators:
     def __post_init__(self):
         self.bands.flags.writeable = False
         n = self.n_dofs
-        self.mass, *blocks, self.ip = (sp.dia_matrix((band, (-1, 0, 1)), shape=(n, n))
-                                       for band in self.bands)
+        *operators, self.ip = (sp.dia_matrix((band, (-1, 0, 1)), shape=(n, n))
+                               for band in self.bands)
+        self.operators = tuple(operators)
+        self.mass, *blocks = (operators[k] for k in TERM_BANDS)
         self.blocks = tuple(blocks)
 
     @property
@@ -205,26 +210,15 @@ class FomOperators:
     @cached_property
     def ip_factor(self) -> IpFactor:
         """ip's factor, factored once per operator set."""
-        return IpFactor.of_bands(*_symmetric(self.bands[4]))
-
-    @cached_property
-    def term_sources(self) -> tuple[int, ...]:
-        """For each affine term [mass, A_1 .. A_Q], the index of the first term
-        whose bands are bitwise equal to its own (its own index if no earlier
-        one is): (0, 1, 2, 0) for `assemble`'s operators, whose reaction block
-        is the mass.  A term's products with a basis have the bits of its
-        source's, so callers compute them once per source.  Found once per
-        operator set, by comparing the terms' bytes."""
-        terms = [term.tobytes() for term in self.bands[:-1]]
-        return tuple(terms.index(term) for term in terms)
+        return IpFactor.of_bands(*_symmetric(self.bands[3]))
 
     @cached_property
     def coercivity(self) -> tuple[float, float]:
         """The pair `coercivity_constants` returns, computed once per operator set
         (29 PTTRF calls at 256 cells, 36 at 2048)."""
-        ip = _symmetric(self.bands[4])
-        return (_pencil_min_eig(_symmetric(self.bands[1]), ip),
-                _pencil_min_eig(_symmetric(self.bands[3]), ip))
+        ip = _symmetric(self.bands[3])
+        return (_pencil_min_eig(_symmetric(self.bands[TERM_BANDS[1]]), ip),
+                _pencil_min_eig(_symmetric(self.bands[TERM_BANDS[3]]), ip))
 
 
 def _symmetric(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +364,7 @@ def _pencil_min_eig(a, b) -> float:
 
 
 def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
-    """Minimal generalized eigenvalues of the diffusion and reaction blocks against ip.
+    """Minimal generalized eigenvalues of the diffusion block and the mass against ip.
 
     Computed once per operator set and cached on it (`FomOperators.coercivity`).
     By Sylvester's law of inertia, a - s ip is positive definite exactly
@@ -383,8 +377,8 @@ def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
     first check included (42 and 43 by bisection).  The value is lo, at which
     the factorization succeeded, so it stays a lower bound; at hi, a relative
     COERCIVITY_RTOL above it at most, the factorization failed.  It reads the
-    blocks' and ip's stored bands.  Raises ValueError for an operator whose
-    sub- and superdiagonal differ or that is not positive definite.
+    stored bands.  Raises ValueError for an operator whose sub- and
+    superdiagonal differ or that is not positive definite.
     """
     return ops.coercivity
 
@@ -392,6 +386,12 @@ def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
 def theta(mu: ParameterPoint) -> tuple[float, float, float]:
     """Affine coefficients (diffusion, advection, reaction) at mu."""
     return (1.0 / mu.pe, 1.0, mu.da)
+
+
+# The row of `FomOperators.bands` that holds each affine term [mass, A_1 ..
+# A_Q] in theta order.  The reaction Da c is linear, so its block is the
+# mass, stored once.
+TERM_BANDS = (0, 1, 2, 0)
 
 
 def affine(th, terms):
@@ -416,16 +416,15 @@ def assemble(mesh: MeshSpec, inflow_value: float = 1.0) -> FomOperators:
     h = mesh.h
     g = inflow_value
 
-    # bands[k] = (sub, main, super) of mass, diffusion, advection, reaction, ip
-    bands = np.zeros((5, 3, n))
-    mass, diffusion, advection, reaction, ip = bands
+    # bands[k] = (sub, main, super) of mass, diffusion, advection, ip
+    bands = np.zeros((4, 3, n))
+    mass, diffusion, advection, ip = bands
     mass[1], mass[1, -1] = 2.0 * h / 3.0, h / 3.0
     mass[0, :-1] = mass[2, 1:] = h / 6.0
     diffusion[1], diffusion[1, -1] = 2.0 / h, 1.0 / h
     diffusion[0, :-1] = diffusion[2, 1:] = -1.0 / h
     advection[1, -1] = 0.5
     advection[0, :-1], advection[2, 1:] = -0.5, 0.5
-    reaction[:] = mass
     np.add(mass, diffusion, out=ip)
 
     # Couplings of the free nodes to the eliminated inflow node, moved to the
@@ -474,12 +473,13 @@ def solve_fom(
     if c0.shape != (ops.n_dofs,):
         raise ValueError("c0 has wrong length")
     dt = grid.dt
-    step = ops.bands[0] + dt * affine(theta(mu), ops.bands[1:4])
+    mass, *blocks = (ops.bands[k] for k in TERM_BANDS)
+    step = mass + dt * affine(theta(mu), blocks)
     dl, d, du, du2, ipiv, info = dgttrf(step[0, :-1], step[1], step[2, 1:])
     if info > 0:
         raise RuntimeError("full-order step matrix is singular")
     dt_b = dt * load_vector(ops, mu)
-    m_sub, m_diag, m_sup = ops.bands[0, 0, :-1], ops.bands[0, 1], ops.bands[0, 2, 1:]
+    m_sub, m_diag, m_sup = mass[0, :-1], mass[1], mass[2, 1:]
 
     coeffs = np.empty((grid.n_steps + 1, ops.n_dofs))
     coeffs[0] = c0

@@ -171,6 +171,9 @@ class AdaptiveHierarchy:
         self.c0 = np.zeros(ops.n_dofs) if c0 is None else np.asarray(c0, dtype=float)
         if self.c0.shape != (ops.n_dofs,) or not np.isfinite(self.c0).all():
             raise ValueError(f"c0 must be a finite vector of shape ({ops.n_dofs},)")
+        if kernel_config.box != box:
+            raise ValueError(f"kernel_config.box {kernel_config.box} must equal box {box}, "
+                             "the box the surrogate normalizes parameters by")
         self.rm: ReducedModel = project(ops, np.zeros((ops.n_dofs, 0)), self.c0)
         self.train = TrainingSet()
         # The surrogate of the last refit that fell due; None before the first.

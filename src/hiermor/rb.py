@@ -25,8 +25,8 @@ from scipy.linalg.lapack import dgeqp3, dgesv
 
 # `coercivity_constants` is called here by this name; the benchmark's span table
 # looks it up in this module.
-from .fem import (FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory, affine,
-                  coercivity_constants, theta)
+from .fem import (TERM_BANDS, FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory,
+                  affine, coercivity_constants, theta)
 # `hapod` is not called here; the benchmark's span table looks it up in this module.
 from .pod import h_orthonormalize, hapod, pod  # noqa: F401
 
@@ -110,9 +110,8 @@ def _riesz_factor(y: np.ndarray) -> np.ndarray:
     R's leading k rows drops ||R[k:, j]|| of column j.  k is the smallest
     value for which that is at most RIESZ_DROP_TOL * max(||R[:, j]||, 1) for
     every j.  F = (R[:k] P^T)^T, shape (columns of Y, k).  `project` passes
-    only the distinct residual components (3 + 3r on `assemble`'s
-    operators); a duplicate column would have the rows of its twin, so it
-    meets the rule whenever the twin does.
+    3 + 3r columns, one per stored operator and mode; the reaction's rows
+    are the mass's, so they meet the rule whenever the mass's do.
     """
     m = y.shape[1]
     qr, jpvt, *_ = dgeqp3(y, lwork=2 * m + (m + 1) * 32)  # blocked, block size 32
@@ -133,45 +132,40 @@ def project(ops: FomOperators, modes: np.ndarray, c0: np.ndarray) -> ReducedMode
     Cost is O(n_dofs * r^2) and pays once per enrichment, never per query:
     the residual components are mapped by one bidiagonal half-solve with the
     Cholesky factor of ip, and only a factor of their Riesz Gramian is kept,
-    its rows scattered into the per-term blocks of `riesz_terms`.  A term
-    whose operator is bitwise equal to an earlier one's
-    (`FomOperators.term_sources`; on `assemble`'s operators the reaction
-    block is the mass) is applied, projected and factored once: the product,
-    the half-solve and the pivoted QR run over the 3 + 3r distinct
-    components, and the term's projected block and its rows of
-    `riesz_terms` are bitwise copies of its source's.  The initial-state
-    terms are Euclidean in the coordinates of that factor.
+    its rows scattered into the per-term blocks of `riesz_terms`.  Each
+    stored operator (`FomOperators.operators`: mass, diffusion, advection) is
+    applied, projected and factored once, so the product, the half-solve and
+    the pivoted QR run over 3 + 3r components; `TERM_BANDS` picks each
+    term's projected block and rows of `riesz_terms` from them, and the
+    reaction's are the mass's.  The initial-state terms are Euclidean in the
+    coordinates of that factor.
     """
     factor = ops.ip_factor
     r, n_terms = modes.shape[1], len(ops.loads)
-    operators = (ops.mass, *ops.blocks)
-    sources = ops.term_sources
 
-    applied = {k: operators[k] @ modes for k in dict.fromkeys(sources)}  # by distinct term
-    red = {k: modes.T @ a for k, a in applied.items()}
-    red_mass, *red_blocks = (red[k] for k in sources)
+    applied = [op @ modes for op in ops.operators]
+    red = [modes.T @ a for a in applied]
+    red_mass, *red_blocks = (red[k] for k in TERM_BANDS)
     steps = np.zeros((n_terms + 1, 2, r + 1, r + 1))
     steps[0, :, :r, :r] = red_mass.T
     steps[0, :, r, r] = 1.0
     steps[1:, 0, :r, :r] = np.transpose(red_blocks, (0, 2, 1))
     steps[1:, 1, r, :r] = ops.loads @ modes
 
-    components = np.column_stack([ops.loads.T, *applied.values(), ops.output])
+    components = np.column_stack([ops.loads.T, *applied, ops.output])
     # Dual norms of residual combinations are ||w @ riesz_sqrt||_2.  With
     # ip = L D L^T, Y = D^-1/2 L^-1 C has Gramian Y^T Y = C^T ip^-1 C, the
     # representers' Gramian, never formed: contracting it with w would cancel
     # once the residual is small.  The factor is R^T of a pivoted QR of Y, one
-    # row per component [b_1 .. b_Q, T Phi for each distinct term T of M,
-    # A_1 .. A_Q]; its roundoff depends on that column order, so the rows are
-    # scattered, not reordered.  A duplicate term's rows are its source's, so
-    # each of the 3 + 4r components still meets the drop rule.
+    # row per component [b_1 .. b_Q, T Phi for each stored operator T]; its
+    # roundoff depends on that column order, so the rows are scattered, not
+    # reordered.
     y = factor.half_solve(components)
     c_s = float(np.linalg.norm(y[:, -1]))
     riesz_sqrt = _riesz_factor(y[:, :-1])
     q = riesz_sqrt.shape[1]
     riesz = np.zeros((n_terms + 1, r + 1, q))
-    rows = dict(zip(applied, riesz_sqrt[n_terms:].reshape(len(applied), r, q)))
-    riesz[:, :r] = [rows[k] for k in sources]
+    riesz[:, :r] = riesz_sqrt[n_terms:].reshape(len(applied), r, q)[list(TERM_BANDS)]
     riesz[1:, r] = -riesz_sqrt[:n_terms]
     gamma_diff, gamma_react = coercivity_constants(ops)
 

@@ -110,7 +110,10 @@ def test_assembled_operators_are_dia_views_of_the_bands_with_the_reference_entri
     mass = reference(h / 6, np.append(np.full(n - 1, 2 * h / 3), h / 3), h / 6)
     diffusion = reference(-1 / h, np.append(np.full(n - 1, 2 / h), 1 / h), -1 / h)
     advection = reference(-0.5, np.append(np.zeros(n - 1), 0.5), 0.5)
-    assert ops.bands.shape == (5, 3, n) and not ops.bands.flags.writeable
+    assert ops.bands.shape == (4, 3, n) and not ops.bands.flags.writeable
+    # the reaction block is the mass itself, not a copy
+    assert ops.blocks[2] is ops.mass
+    assert all(a is b for a, b in zip(ops.operators, (ops.mass, *ops.blocks[:2]), strict=True))
     operators = (ops.mass, *ops.blocks, ops.ip)
     for mat, want in zip(operators, (mass, diffusion, advection, mass, mass + diffusion)):
         assert mat.format == "dia" and mat.shape == (n, n)
@@ -144,18 +147,12 @@ def test_ip_factor_is_factored_once_per_operator_set(monkeypatch):
     assert coercivity_constants(ops) is pair and len(pencils) == 2
     # a replaced ip is factored anew, not taken from the original's cache
     bands = ops.bands.copy()
-    bands[4] *= 4.0
+    bands[3] *= 4.0
     scaled = dataclasses.replace(ops, bands=bands)
     assert np.array_equal(scaled.ip_factor.root_d, 2.0 * factor.root_d)
     assert np.array_equal(scaled.ip_factor.sub, factor.sub)
     assert coercivity_constants(scaled) == pytest.approx((pair[0] / 4, pair[1] / 4), rel=1e-12)
     assert len(pencils) == 4
-    # and the map to the first bitwise-equal term: assemble's reaction block is the mass
-    assert ops.term_sources == (0, 1, 2, 0) and ops.term_sources is ops.term_sources
-    assert scaled.term_sources == (0, 1, 2, 0)
-    doubled = ops.bands.copy()
-    doubled[3] *= 2.0
-    assert dataclasses.replace(ops, bands=doubled).term_sources == (0, 1, 2, 3)
 
 
 def test_mesh_and_grid_validation():
@@ -383,7 +380,7 @@ def test_solve_fom_does_not_build_the_sparse_step_matrix(small_problem, monkeypa
 def test_singular_step_matrix_raises(small_problem):
     ops, grid = small_problem
     bands = ops.bands.copy()
-    bands[:4] = 0.0  # mass and the blocks
+    bands[:3] = 0.0  # mass, diffusion and advection; ip stays
     degenerate = dataclasses.replace(ops, bands=bands)
     with pytest.raises(RuntimeError, match="singular"):
         solve_fom(degenerate, ParameterPoint(1.0, 10.0), grid, np.zeros(ops.n_dofs))

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from unittest import mock
 
@@ -24,6 +25,8 @@ from hiermor import (
     solve_fom,
     solve_rb,
 )
+from hiermor.cli import build_hierarchy
+from hiermor.config import RunConfig
 from hiermor.hierarchy import write_query_log, CSV_COLUMNS
 
 
@@ -90,6 +93,14 @@ def test_invalid_initial_state_is_rejected_at_construction(c0):
     with pytest.raises(ValueError, match="^c0 "):
         AdaptiveHierarchy(assemble(MeshSpec(32)), TimeGrid(1.0, 32), box, HierarchyConfig(),
                           KernelConfig(box=box), c0=c0)
+
+
+def test_kernel_box_that_differs_from_the_box_is_rejected_at_construction():
+    # a replaced box leaves the kernel config built for the default box
+    config = dataclasses.replace(RunConfig(), box=ParameterBox(0.1, 5.0, 1.0, 50.0))
+    assert config.kernel.box == ParameterBox()
+    with pytest.raises(ValueError, match="^kernel_config.box "):
+        build_hierarchy(config)
 
 
 def test_ml_branch_after_trust_threshold_runs_no_solves():
