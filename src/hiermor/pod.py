@@ -1,4 +1,4 @@
-"""POD by a randomized range finder, plus an incremental hierarchical variant.
+"""POD by a QR or a randomized range finder, plus an incremental hierarchical variant.
 
 All decompositions are taken in the inner product of a supplied symmetric
 positive definite tridiagonal matrix H, in the coordinates of its factor:
@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .fem import IpFactor
 
-__all__ = ["PodBasis", "pod", "hapod", "h_orthonormalize"]
+__all__ = ["PodBasis", "pod", "hapod", "h_orthonormalize", "project_out"]
 
 # Relative singular value below which modes are treated as numerically zero.
 RANK_CUTOFF = 1e-12
@@ -71,9 +71,7 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _sketch(m: int, width: int) -> np.ndarray:
     """The read-only (m, width) Gaussian sketch from a generator seeded
-    SKETCH_SEED.  The cache holds rank-capped sketches, m x (rank +
-    OVERSAMPLING) at most; HAPOD's full-width ones are drawn through
-    `_sketch.__wrapped__`, so none is kept."""
+    SKETCH_SEED; only rank-capped POD draws one, of width rank + OVERSAMPLING."""
     sketch = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
     sketch.flags.writeable = False
     return sketch
@@ -146,8 +144,8 @@ def _left_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _truncation_rank(sigma: np.ndarray, resid_sq: float, rank: int | None,
                      energy_tol: float | None, abs_tail: float | None) -> int:
-    """Number of modes to keep given the (descending) singular values of the
-    sketched block and the energy ||Y - Q B||_F^2 the sketch left out."""
+    """Number of modes to keep given the (descending) singular values of B
+    and the energy ||Y - Q B||_F^2 the range Q left out."""
     # tails[i]: squared projection error onto the leading i modes, summed from
     # the smallest term so that nothing cancels.
     tails = np.append(np.cumsum(sigma[::-1] ** 2)[::-1], 0.0) + resid_sq
@@ -159,28 +157,31 @@ def _truncation_rank(sigma: np.ndarray, resid_sq: float, rank: int | None,
     return r if rank is None else min(r, rank)
 
 
+def project_out(y: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B = Q^T Y and (Y - Q B)^T, in Y's order (a mixed-order difference is a slow
+    transpose) and in the product's buffer (a fresh n x m one costs more in pages)."""
+    b = q.T @ y
+    resid = b.T @ q.T
+    np.subtract(y.T, resid, out=resid)
+    return b, resid
+
+
 def _pod_impl(y: np.ndarray, rank: int | None, energy_tol: float | None,
               abs_tail: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values of the Fortran-ordered
-    coordinates Y, truncated: a randomized range finder (Halko, Martinsson &
-    Tropp, Alg. 4.4 with one power iteration), then the SVD of the small
-    block B = Q^T Y by `_left_svd`.  The truncation reads the exact tail
-    ||Y - Q B||_F^2 + sum_{i>r} sigma_i^2, so the energy rule holds a
-    posteriori.  A rank-capped sketch is drawn once per shape and then read
-    from a cache."""
+    coordinates Y, truncated: Q from Y's QR, or from a randomized range finder
+    (Halko, Martinsson & Tropp, Alg. 4.4, one power iteration) when its sketch
+    is narrower than Y, then the SVD of B = Q^T Y by `_left_svd`.  The truncation
+    reads the exact tail ||Y - Q B||_F^2 + sum_{i>r} sigma_i^2, a posteriori."""
     n, m = y.shape
     if m == 0:
         return np.zeros((n, 0)), np.zeros(0)
-    width = min(n, m) if rank is None else min(n, m, rank + OVERSAMPLING)
-    sketch = _sketch.__wrapped__(m, width) if rank is None else _sketch(m, width)
-    q = _qr(y @ sketch)[0]
-    q = _qr(y @ _qr(y.T @ q)[0])[0]
-    b = q.T @ y
-    # Y^T - B^T Q^T in Y's order (a mixed-order difference is a slow
-    # transpose), in the product's buffer: a second n x m temporary costs
-    # more in fresh pages than the subtraction itself
-    resid = b.T @ q.T
-    np.subtract(y.T, resid, out=resid)
+    if rank is not None and rank + OVERSAMPLING < min(n, m):
+        q = _qr(y @ _sketch(m, rank + OVERSAMPLING))[0]
+        q = _qr(y @ _qr(y.T @ q)[0])[0]
+    else:
+        q = _qr(y)[0]
+    b, resid = project_out(y, q)
     u, sigma = _left_svd(b)
     r = _truncation_rank(sigma, float(np.einsum("ij,ij->", resid, resid)),
                          rank, energy_tol, abs_tail)
@@ -197,7 +198,7 @@ def pod(
 
     Truncation: `rank` keeps at most that many modes; `energy_tol` = tau keeps
     the smallest r with sum_{i>r} sigma_i^2 <= tau^2 * sum_i sigma_i^2, the
-    tail including what the sketch of width rank + OVERSAMPLING left out.
+    tail including what the range finder left out.
     Both may be combined (the stricter wins); modes with sigma below the
     numerical rank cutoff are always discarded.  A zero snapshot matrix
     yields an empty basis.  The snapshots are mapped into the coordinates of
@@ -226,8 +227,8 @@ def hapod(
 
     Chunks are processed in order; at each stage the previous modes, scaled by
     their singular values, are concatenated with the next chunk and compressed
-    again, all in the coordinates of ip's factor: each chunk is mapped in
-    once, and only the last stage's modes are mapped out.  Stage i < last
+    again by its QR, all in the coordinates of ip's factor: each chunk is
+    mapped in once, and only the last stage's modes are mapped out.  Stage i < last
     truncates with absolute squared-error allowance (omega * eps_star)^2 * m_i
     (m_i the chunk size); the last stage acts as the final compression with
     allowance (1 - omega^2) * eps_star^2 * m_total.  Summing the allowances bounds the

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dgeqp3, dgesv
 from .fem import (TERM_BANDS, FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory,
                   affine, coercivity_constants, theta)
 # `hapod` is not called here; the benchmark's span table looks it up in this module.
-from .pod import h_orthonormalize, hapod, pod  # noqa: F401
+from .pod import h_orthonormalize, hapod, pod, project_out  # noqa: F401
 
 __all__ = [
     "ReducedModel",
@@ -301,9 +301,9 @@ def enrich(
     caller detect stagnation.  Everything happens in the coordinates
     Y = D^1/2 L^T X of ip's cached factor (`FomOperators.ip_factor`), where
     the H inner product is the Euclidean one: the trajectory and the basis
-    are mapped in once each, the error Y - Phi_Y (Phi_Y^T Y) is formed there
-    in Y's order, and the containment test and the POD (`pod` without `ip`)
-    read that one array.  The union [Phi_Y, new modes] is reorthonormalized
+    are mapped in once each, `project_out` forms the error Y - Phi_Y (Phi_Y^T Y)
+    there, and the containment test and the POD (`pod` without `ip`) read
+    that one array.  The union [Phi_Y, new modes] is reorthonormalized
     with `h_orthonormalize`, old modes first, so the old span is preserved
     exactly, and mapped out once as the modes `project` takes; when it keeps
     no new column (the POD found none) the model itself comes back.  One POD
@@ -312,8 +312,7 @@ def enrich(
     factor = ops.ip_factor
     y = factor.coords(fom_traj.coeffs.T)
     phi_y = factor.coords(rm.modes)
-    err_t = (phi_y.T @ y).T @ phi_y.T  # transposed, so the error keeps Y's order,
-    np.subtract(y.T, err_t, out=err_t)  # and in the product's buffer, as in `pod`
+    _, err_t = project_out(y, phi_y)
     if np.einsum("ij,ij->", err_t, err_t) <= CONTAINMENT_RTOL**2 * np.einsum("ij,ij->", y, y):
         return rm, 0
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hiermor import ParameterPoint, pod, hapod, solve_fom
-from hiermor.pod import (RANK_CUTOFF, SKETCH_SEED, _fix_signs, _left_svd, _pod_impl, _qr,
-                         _sketch, h_orthonormalize)
+from hiermor.pod import (OVERSAMPLING, RANK_CUTOFF, SKETCH_SEED, _fix_signs, _left_svd,
+                         _pod_impl, _qr, _sketch, h_orthonormalize)
 
 
 def h_matrix(ops):
@@ -256,14 +258,24 @@ def test_left_svd_matches_the_wide_svd(small_problem, reference_trajectory):
             assert np.linalg.norm(proj, 2) <= 1e-10
 
 
-def test_hapod_keeps_no_full_width_sketch(small_problem, reference_trajectory):
-    ops, _ = small_problem
-    _, traj, _ = reference_trajectory
-    _sketch.cache_clear()
-    assert hapod(np.array_split(traj.coeffs.T, 3, axis=1), ops.ip).dim > 0
-    assert _sketch.cache_info().currsize == 0
-    pod(traj.coeffs.T, ops.ip, rank=5)
-    assert _sketch.cache_info().currsize == 1
+def test_only_a_sketch_narrower_than_the_snapshots_is_drawn(desk_problem, monkeypatch):
+    # Full-rank POD, HAPOD's stages and a rank cap that reaches min(n, m) take
+    # Q from the QR of the coordinates; criterion 3's trajectory, 256 x 257.
+    ops, grid = desk_problem
+    traj, _ = solve_fom(ops, ParameterPoint(1.0, 10.0), grid, np.zeros(ops.n_dofs))
+    snapshots = traj.coeffs.T
+
+    def no_sketch(*args):
+        raise AssertionError("a sketch no narrower than the snapshots was drawn")
+
+    monkeypatch.setattr(importlib.import_module("hiermor.pod"), "_sketch", no_sketch)
+    full = pod(snapshots, ops.ip)
+    want = la.svd(ops.ip_factor.coords(snapshots), compute_uv=False)
+    assert full.dim > 0
+    assert np.abs(full.singular_values - want[: full.dim]).max() <= 1e-12 * want[0]
+    assert hapod(np.array_split(snapshots, 3, axis=1), ops.ip).dim > 0
+    capped = pod(snapshots, ops.ip, rank=min(snapshots.shape) - OVERSAMPLING)
+    assert capped.dim == full.dim
 
 
 IP_USERS = {
