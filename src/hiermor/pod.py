@@ -160,7 +160,7 @@ def _truncation_rank(sigma: np.ndarray, resid_sq: float, rank: int | None,
 def project_out(y: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """B = Q^T Y and (Y - Q B)^T, in Y's order (a mixed-order difference is a slow
     transpose) and in the product's buffer (a fresh n x m one costs more in pages)."""
-    b = q.T @ y
+    b = (y.T @ q).T  # OpenBLAS gives Q^T Y, not Y^T Q, bits that follow its thread count
     resid = b.T @ q.T
     np.subtract(y.T, resid, out=resid)
     return b, resid

@@ -589,6 +589,25 @@ def test_coercivity_constants_reject_indefinite_operator(small_problem):
 # -- enrichment ---------------------------------------------------------------------
 
 
+# sha256 of `enrich`'s modes on the desk mesh and grid after each of two
+# enrichments from an empty basis, at the desk config's energy_tol and
+# max_modes; they hold at any BLAS thread count
+ENRICH_SHA256 = {
+    ParameterPoint(2.0, 30.0): "46eb5640f37db0c6a44ee9d0cfeed700a6ac0946aa8480fc180f8a6d42c4b875",
+    ParameterPoint(0.1, 100.0): "3bf217b2fb504626ab4fdf06d603685f287182c835ffb212f85ef08123b2290b",
+}
+
+
+def test_enrich_mode_bits_are_pinned(desk_problem):
+    ops, grid = desk_problem
+    rm = project(ops, empty_basis(ops.n_dofs), np.zeros(ops.n_dofs))
+    for mu, digest in ENRICH_SHA256.items():
+        traj, _ = solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
+        rm, added = enrich(rm, traj, ops, energy_tol=1e-6, max_modes=25)
+        assert added > 0
+        assert hashlib.sha256(rm.modes.tobytes()).hexdigest() == digest
+
+
 def test_enrich_from_empty_equals_trajectory_pod(small_problem, reference_trajectory):
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
