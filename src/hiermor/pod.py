@@ -196,9 +196,9 @@ def pod(
 ) -> PodBasis:
     """POD of the snapshot columns in the H = `ip` inner product.
 
-    Truncation: `rank` keeps at most that many modes; `energy_tol` = tau keeps
-    the smallest r with sum_{i>r} sigma_i^2 <= tau^2 * sum_i sigma_i^2, the
-    tail including what the range finder left out.
+    Truncation: `rank` >= 0 keeps at most that many modes; `energy_tol` = tau
+    in [0, 1) keeps the smallest r with sum_{i>r} sigma_i^2 <= tau^2 *
+    sum_i sigma_i^2, the tail including what the range finder left out.
     Both may be combined (the stricter wins); modes with sigma below the
     numerical rank cutoff are always discarded.  A zero snapshot matrix
     yields an empty basis.  The snapshots are mapped into the coordinates of
@@ -212,6 +212,10 @@ def pod(
         (sparse or dense); None means identity, and nothing is mapped.  Any
         other matrix raises ValueError.
     """
+    if rank is not None and rank < 0:
+        raise ValueError("rank must be nonnegative")
+    if energy_tol is not None and not 0.0 <= energy_tol < 1.0:
+        raise ValueError("energy_tol must lie in [0, 1)")
     factor = _factor(ip)
     y = factor.coords(np.asarray(snapshots, dtype=float))
     return _mapped_out(factor, *_pod_impl(y, rank, energy_tol, None))
@@ -240,12 +244,12 @@ def hapod(
     whose singular values are discarded as roundoff.
 
     The returned singular values approximate those of the concatenated
-    snapshot matrix.  `ip` is as for `pod`.
+    snapshot matrix.  `ip` is as for `pod`; omega lies in (0, 1), eps_star in (0, inf).
     """
     if not 0.0 < omega < 1.0:
         raise ValueError("omega must lie in (0, 1)")
-    if eps_star <= 0.0:
-        raise ValueError("eps_star must be positive")
+    if not 0.0 < eps_star < np.inf:
+        raise ValueError("eps_star must lie in (0, inf)")
     chunks = [np.asarray(c, dtype=float) for c in chunks]
     if not chunks:
         return PodBasis(np.zeros((0, 0)), np.zeros(0))

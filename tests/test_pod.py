@@ -125,6 +125,19 @@ def test_rank_cap():
     assert basis.dim == 4
 
 
+@pytest.mark.parametrize("kwargs", [{"rank": -3}, {"energy_tol": np.nan}, {"energy_tol": -0.5},
+                                    {"energy_tol": 1.0}],
+                         ids=["rank_negative", "energy_tol_nan", "energy_tol_negative",
+                              "energy_tol_one"])
+def test_pod_rejects_truncation_arguments_out_of_range(kwargs):
+    snapshots = np.random.default_rng(23).standard_normal((40, 12))
+    with pytest.raises(ValueError):
+        pod(snapshots, **kwargs)
+    # the ends of the ranges are taken
+    assert pod(snapshots, rank=0).dim == 0
+    assert pod(snapshots, energy_tol=0.0).dim == 12
+
+
 def test_pod_optimality_sampled(small_problem):
     ops, _ = small_problem
     rng = np.random.default_rng(29)
@@ -416,6 +429,12 @@ def test_hapod_maps_each_chunk_in_once_and_the_modes_out_once(reference_trajecto
 
 def test_hapod_empty_chunks():
     assert hapod([], None, eps_star=1e-6, omega=0.5).dim == 0
+
+
+@pytest.mark.parametrize("eps_star", [np.nan, np.inf, 0.0, -1.0])
+def test_hapod_rejects_eps_star_outside_the_positive_reals(eps_star):
+    with pytest.raises(ValueError, match="eps_star"):
+        hapod([np.random.default_rng(23).standard_normal((40, 12))], None, eps_star=eps_star)
 
 
 def test_hapod_parameter_validation():
