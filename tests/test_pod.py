@@ -431,14 +431,9 @@ def test_hapod_empty_chunks():
     assert hapod([], None, eps_star=1e-6, omega=0.5).dim == 0
 
 
-@pytest.mark.parametrize("eps_star", [np.nan, np.inf, 0.0, -1.0])
-def test_hapod_rejects_eps_star_outside_the_positive_reals(eps_star):
-    with pytest.raises(ValueError, match="eps_star"):
-        hapod([np.random.default_rng(23).standard_normal((40, 12))], None, eps_star=eps_star)
-
-
 def test_hapod_parameter_validation():
     with pytest.raises(ValueError):
         hapod([np.ones((3, 1))], None, eps_star=1e-6, omega=1.5)
-    with pytest.raises(ValueError):
-        hapod([np.ones((3, 1))], None, eps_star=-1.0, omega=0.5)
+    for eps_star in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps_star"):
+            hapod([np.ones((3, 1))], None, eps_star=eps_star, omega=0.5)

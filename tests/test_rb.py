@@ -591,7 +591,7 @@ def test_coercivity_constants_reject_indefinite_operator(small_problem):
 
 # sha256 of `enrich`'s modes on the desk mesh and grid after each of two
 # enrichments from an empty basis, at the desk config's energy_tol and
-# max_modes; they hold at any BLAS thread count
+# max_modes; they are the same at 1 and at 2 BLAS threads
 ENRICH_SHA256 = {
     ParameterPoint(2.0, 30.0): "46eb5640f37db0c6a44ee9d0cfeed700a6ac0946aa8480fc180f8a6d42c4b875",
     ParameterPoint(0.1, 100.0): "3bf217b2fb504626ab4fdf06d603685f287182c835ffb212f85ef08123b2290b",
