@@ -55,14 +55,10 @@ class RunConfig:
     grid: TimeGrid = field(default_factory=lambda: TimeGrid(1.0, 256))
     box: ParameterBox = field(default_factory=ParameterBox)
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
-    kernel: KernelConfig | None = None  # None means KernelConfig(box)
+    kernel: KernelConfig = field(default_factory=KernelConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     out_dir: Path = Path("hiermor-out")
     save_model: bool = False
-
-    def __post_init__(self):
-        if self.kernel is None:
-            self.kernel = KernelConfig(self.box)
 
 
 # Config section -> the RunConfig field it builds.  [output] sets RunConfig's
@@ -172,10 +168,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{section}.{exc}", _lineno(entries, section, key)) from None
 
     defaults = RunConfig()
-    parts = {}
-    for section, name in SECTIONS.items():
-        default = KernelConfig(parts["box"]) if name == "kernel" else getattr(defaults, name)
-        parts[name] = build(section, default)
+    parts = {name: build(section, getattr(defaults, name)) for section, name in SECTIONS.items()}
     config = build("output", dataclasses.replace(defaults, **parts))
 
     for (sec, key), (_, lineno) in unread.items():

@@ -118,17 +118,18 @@ class QueryRecord:
 
 @dataclass(frozen=True, eq=False)
 class Surrogate:
-    """A training set a refit fell due on, and its kernel model, fitted on
-    first read and cached as `FomOperators.ip_factor` is; a fit that raises
-    caches nothing.  `earlier_fits` counts the fits made before this value."""
+    """A training set a refit fell due on, and its kernel model in `box`,
+    fitted on first read and cached as `FomOperators.ip_factor` is; a fit
+    that raises caches nothing.  `earlier_fits` counts the fits made before."""
 
     train: TrainingSet
     kernel_config: KernelConfig
+    box: ParameterBox
     earlier_fits: int = 0
 
     @cached_property
     def model(self) -> KernelModel:
-        return fit(self.train, self.kernel_config)
+        return fit(self.train, self.kernel_config, self.box)
 
     @property
     def fits(self) -> int:
@@ -171,9 +172,6 @@ class AdaptiveHierarchy:
         self.c0 = np.zeros(ops.n_dofs) if c0 is None else np.asarray(c0, dtype=float)
         if self.c0.shape != (ops.n_dofs,) or not np.isfinite(self.c0).all():
             raise ValueError(f"c0 must be a finite vector of shape ({ops.n_dofs},)")
-        if kernel_config.box != box:
-            raise ValueError(f"kernel_config.box {kernel_config.box} must equal box {box}, "
-                             "the box the surrogate normalizes parameters by")
         self.rm: ReducedModel = project(ops, np.zeros((ops.n_dofs, 0)), self.c0)
         self.train = TrainingSet()
         # The surrogate of the last refit that fell due; None before the first.
@@ -278,7 +276,7 @@ class AdaptiveHierarchy:
                 stagnated = 1
         train.add(mu, answer, "RB" if f_rb is not None else "FOM")
         if len(train) > len(self.train) and len(train) % cfg.retrain_every == 0:
-            surrogate = Surrogate(train, self.kernel_config, self.counters["fits"])
+            surrogate = Surrogate(train, self.kernel_config, self.box, self.counters["fits"])
         return answer, (rm, train, surrogate), stagnated
 
     def _commit(self, counts: dict[str, int], learned: tuple) -> None:

@@ -38,15 +38,14 @@ DEGENERACY_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Gaussian kernel and greedy-selection hyperparameters.
+    """Gaussian kernel and greedy-selection hyperparameters, all with defaults.
 
-    `shape` is the kernel width in normalized coordinates.  `greedy_tol` is
-    the absolute stopping tolerance on the max residual norm; None resolves
-    to 1e-5 times the largest training norm at fit time.  `criterion` picks
-    the next center by residual norm ("f") or by power function value ("p").
+    `shape` is the kernel width in coordinates normalized by `fit`'s box.
+    `greedy_tol` is the absolute stopping tolerance on the max residual norm;
+    None resolves to 1e-5 times the largest training norm at fit time.
+    `criterion` picks the next center by residual norm ("f") or power function ("p").
     """
 
-    box: ParameterBox
     shape: float = 0.5
     max_centers: int = 200
     greedy_tol: float | None = None
@@ -87,9 +86,10 @@ def _kernel_matrix(z1: np.ndarray, z2: np.ndarray, shape: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * shape**2))
 
 
-def kernel(mu1: ParameterPoint, mu2: ParameterPoint, config: KernelConfig) -> float:
-    """Gaussian kernel k(mu1, mu2) on box-normalized parameters."""
-    z = _normalize(config.box, np.array([[mu1.da, mu1.pe], [mu2.da, mu2.pe]]))
+def kernel(mu1: ParameterPoint, mu2: ParameterPoint, config: KernelConfig,
+           box: ParameterBox) -> float:
+    """Gaussian kernel k(mu1, mu2) on parameters normalized by `box`."""
+    z = _normalize(box, np.array([[mu1.da, mu1.pe], [mu2.da, mu2.pe]]))
     return float(_kernel_matrix(z[:1], z[1:], config.shape)[0, 0])
 
 
@@ -142,13 +142,14 @@ class KernelModel:
 
     `newton_cholesky` is the lower-triangular factor of the kernel matrix
     restricted to the centers (plus nugget), in selection order;
-    `coeff_block` holds one row of Newton coefficients per center.
+    `coeff_block` holds one row of Newton coefficients per center; `box` is
+    the parameter box the model was fitted in.
 
     Derived on every construction (`fit`, `load_model`, `dataclasses.replace`),
     so that a prediction normalizes only its mu and does no other set-up:
     `center_da` and `center_pe`, the two columns of the box-normalized
     centers (`_normalize`) as contiguous arrays of length k; `box_scales`,
-    the box constants of `_box_scales`; and `neg_two_shape_sq`, the divisor
+    the constants of `_box_scales`; and `neg_two_shape_sq`, the divisor
     -(2 shape^2) of the kernel's exponent.
     Immutable after fit; concurrent predictions are safe.
     """
@@ -157,6 +158,7 @@ class KernelModel:
     newton_cholesky: np.ndarray
     coeff_block: np.ndarray
     config: KernelConfig
+    box: ParameterBox
     dt: float
     center_da: np.ndarray = field(init=False, repr=False, compare=False)
     center_pe: np.ndarray = field(init=False, repr=False, compare=False)
@@ -164,10 +166,9 @@ class KernelModel:
     neg_two_shape_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        box = self.config.box
         mus = np.array([[c.da, c.pe] for c in self.centers]).reshape(-1, 2)
-        self.center_da, self.center_pe = np.ascontiguousarray(_normalize(box, mus).T)
-        self.box_scales = _box_scales(box)
+        self.center_da, self.center_pe = np.ascontiguousarray(_normalize(self.box, mus).T)
+        self.box_scales = _box_scales(self.box)
         self.neg_two_shape_sq = -(2.0 * self.config.shape**2)
 
     @property
@@ -175,8 +176,8 @@ class KernelModel:
         return len(self.centers)
 
 
-def fit(data: TrainingSet, config: KernelConfig) -> KernelModel:
-    """Vectorial greedy orthogonal fit on the full training set.
+def fit(data: TrainingSet, config: KernelConfig, box: ParameterBox) -> KernelModel:
+    """Vectorial greedy orthogonal fit on the full training set, normalized by `box`.
 
     Selection loop: pick the candidate maximizing the residual norm (or the
     power function for criterion "p"), extend the Newton basis by one column,
@@ -195,7 +196,7 @@ def fit(data: TrainingSet, config: KernelConfig) -> KernelModel:
 
     mus = np.array([[e.mu.da, e.mu.pe] for e in entries])
     targets = np.stack([e.qoi.values for e in entries])
-    z = _normalize(config.box, mus)
+    z = _normalize(box, mus)
     kmat = _kernel_matrix(z, z, config.shape)
     if config.nugget:
         kmat = kmat + config.nugget * np.eye(m)
@@ -242,6 +243,7 @@ def fit(data: TrainingSet, config: KernelConfig) -> KernelModel:
         newton_cholesky=chol,
         coeff_block=coeffs,
         config=config,
+        box=box,
         dt=dt,
     )
 
@@ -298,12 +300,12 @@ FORMAT_VERSION = 1
 
 def save_model(model: KernelModel, path) -> None:
     """Persist a model as an uncompressed NPZ archive (see README for layout)."""
-    cfg = model.config
+    cfg, box = model.config, model.box
     with open(path, "wb") as fh:
         np.savez(
             fh,
             format_version=np.int64(FORMAT_VERSION),
-            box=np.array([cfg.box.da_min, cfg.box.da_max, cfg.box.pe_min, cfg.box.pe_max]),
+            box=np.array([box.da_min, box.da_max, box.pe_min, box.pe_max]),
             shape=np.float64(cfg.shape),
             max_centers=np.int64(cfg.max_centers),
             greedy_tol=np.float64(np.nan if cfg.greedy_tol is None else cfg.greedy_tol),
@@ -321,10 +323,8 @@ def load_model(path) -> KernelModel:
         version = int(data["format_version"])
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
-        box = ParameterBox(*data["box"].tolist())
         tol = float(data["greedy_tol"])
         config = KernelConfig(
-            box=box,
             shape=float(data["shape"]),
             max_centers=int(data["max_centers"]),
             greedy_tol=None if math.isnan(tol) else tol,
@@ -337,5 +337,6 @@ def load_model(path) -> KernelModel:
             newton_cholesky=data["newton_cholesky"],
             coeff_block=data["coeff_block"],
             config=config,
+            box=ParameterBox(*data["box"].tolist()),
             dt=float(data["dt"]),
         )

@@ -14,6 +14,7 @@ from hiermor.kernel import KernelConfig, TrainingSet, kernel
 
 N_TIME = 12
 DT = 1.0 / N_TIME
+BOX = ParameterBox()
 
 
 def halton_points(n: int, box: ParameterBox) -> list[ParameterPoint]:
@@ -28,9 +29,9 @@ def halton_points(n: int, box: ParameterBox) -> list[ParameterPoint]:
 
 
 def monotone_training_set(n: int = 30):
-    """30-point set with in-class decaying targets; greedy residuals decrease."""
-    box = ParameterBox()
-    config = KernelConfig(box=box, shape=0.8, greedy_tol=0.0)
+    """30-point set in BOX with in-class decaying targets; greedy residuals decrease."""
+    box = BOX
+    config = KernelConfig(shape=0.8, greedy_tol=0.0)
     rng = np.random.default_rng(8)
     hidden = [
         ParameterPoint(rng.uniform(box.da_min, box.da_max),
@@ -40,7 +41,7 @@ def monotone_training_set(n: int = 30):
     coeffs = rng.standard_normal((6, N_TIME)) * (0.3 ** np.arange(6))[:, None]
 
     def target(mu):
-        weights = np.array([kernel(mu, c, config) for c in hidden])
+        weights = np.array([kernel(mu, c, config, box) for c in hidden])
         return weights @ coeffs
 
     train = TrainingSet()

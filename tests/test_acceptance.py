@@ -156,7 +156,7 @@ def test_criterion_4_kernel_interpolation_power_monotone():
     import dataclasses
 
     train, data, config = synthetic.monotone_training_set()
-    model = fit(train, config)
+    model = fit(train, config, synthetic.BOX)
     lookup = {mu: values for mu, values in data}
     worst_rel = max(
         np.linalg.norm(predict(model, c).values - lookup[c])
@@ -167,7 +167,7 @@ def test_criterion_4_kernel_interpolation_power_monotone():
 
     maxima = []
     for k in range(1, len(data) + 1):
-        part = fit(train, dataclasses.replace(config, max_centers=k))
+        part = fit(train, dataclasses.replace(config, max_centers=k), synthetic.BOX)
         residuals = [
             qoi_norm(QoiVector(v - predict(part, mu).values, synthetic.DT))
             for mu, v in data

@@ -167,9 +167,7 @@ def test_sweep_config_rejects_invalid_fields(kwargs):
 @pytest.mark.parametrize(
     "make, name",
     [(HierarchyConfig, "rom_tol"), (HierarchyConfig, "validation_slack"),
-     (lambda **kw: KernelConfig(ParameterBox(), **kw), "shape"),
-     (lambda **kw: KernelConfig(ParameterBox(), **kw), "nugget"),
-     (lambda **kw: KernelConfig(ParameterBox(), **kw), "greedy_tol")],
+     (KernelConfig, "shape"), (KernelConfig, "nugget"), (KernelConfig, "greedy_tol")],
     ids=["rom_tol", "validation_slack", "shape", "nugget", "greedy_tol"],
 )
 def test_python_api_rejects_non_finite_fields(make, name, value):
@@ -189,7 +187,7 @@ def _shipped(n_cells=256, n_steps=256, **hierarchy):
             "rom_tol": 1e-2, "retrain_every": 10, "trust_threshold": 50,
             "trust_mode": "size_threshold", "validation_slack": 1.0, "enrich_energy_tol": 1e-6,
             "enrich_max_modes": 25, "warm_start_corners": False, **hierarchy}),
-        kernel=KernelConfig(box, shape=0.5, max_centers=200, greedy_tol=None, nugget=0.0,
+        kernel=KernelConfig(shape=0.5, max_centers=200, greedy_tol=None, nugget=0.0,
                             criterion="f"),
         sweep=SweepConfig(n_queries=200, sampler="uniform_random", seed=42),
         out_dir=Path("hiermor-out"),
@@ -277,7 +275,7 @@ def test_zero_queries():
 def test_default_run_config_runs_a_sweep():
     config = RunConfig(mesh=MeshSpec(16), grid=TimeGrid(1.0, 16),
                        sweep=SweepConfig(n_queries=30, seed=1))
-    assert config.kernel == KernelConfig(config.box)
+    assert config.kernel == KernelConfig()
     state, records = _execute_sweep(config)
     assert len(records) == 30
     assert state.model is not None  # refit with the default kernel settings
@@ -378,7 +376,7 @@ def test_model_file_written_when_requested(tmp_path, trust_mode):
         size = len(state.train)
         if size % config.hierarchy.retrain_every == 0 and (due is None or size > len(due)):
             due = state.train.copy()
-    save_model(fit(due, config.kernel), tmp_path / "reference.bin")
+    save_model(fit(due, config.kernel, config.box), tmp_path / "reference.bin")
     assert (out / "model.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()
 
 

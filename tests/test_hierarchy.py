@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,7 @@ def make_state(n_cells=32, n_steps=32, box=None, **hier_kwargs):
     ops = assemble(MeshSpec(n_cells))
     grid = TimeGrid(1.0, n_steps)
     config = HierarchyConfig(**hier_kwargs)
-    return AdaptiveHierarchy(ops, grid, box, config, KernelConfig(box=box))
+    return AdaptiveHierarchy(ops, grid, box, config, KernelConfig())
 
 
 def sweep_mus(box, n, seed):
@@ -92,15 +93,24 @@ def test_invalid_initial_state_is_rejected_at_construction(c0):
     box = ParameterBox()
     with pytest.raises(ValueError, match="^c0 "):
         AdaptiveHierarchy(assemble(MeshSpec(32)), TimeGrid(1.0, 32), box, HierarchyConfig(),
-                          KernelConfig(box=box), c0=c0)
+                          KernelConfig(), c0=c0)
 
 
-def test_kernel_box_that_differs_from_the_box_is_rejected_at_construction():
-    # a replaced box leaves the kernel config built for the default box
-    config = dataclasses.replace(RunConfig(), box=ParameterBox(0.1, 5.0, 1.0, 50.0))
-    assert config.kernel.box == ParameterBox()
-    with pytest.raises(ValueError, match="^kernel_config.box "):
-        build_hierarchy(config)
+def test_replaced_box_is_the_box_the_surrogate_is_fitted_in():
+    # the box is stored once, in RunConfig.box: replacing it moves the surrogate too
+    box = ParameterBox(0.1, 5.0, 1.0, 50.0)
+    config = dataclasses.replace(
+        RunConfig(mesh=MeshSpec(16), grid=TimeGrid(1.0, 16),
+                  hierarchy=HierarchyConfig(trust_threshold=6, retrain_every=3)),
+        box=box)
+    state = build_hierarchy(config)
+    records = [state.query(mu)[1] for mu in sweep_mus(box, 12, seed=3)]
+    model = state.model
+    assert model is not None and model.box == box
+    assert model.box_scales == (0.1, 5.0 - 0.1, 0.0, math.log(50.0))
+    assert [rec.model_used for rec in records].count("ML") >= 1
+    answer, record = state.query(ParameterPoint(4.5, 40.0))
+    assert record.model_used == "ML" and np.isfinite(answer.values).all()
 
 
 def test_ml_branch_after_trust_threshold_runs_no_solves():
@@ -279,9 +289,9 @@ def test_fits_count_only_the_refits_read(monkeypatch):
     state = make_state(box=box, retrain_every=10, trust_threshold=50)
     fit, fitted = hierarchy_mod.fit, []
 
-    def counting_fit(train, config):
+    def counting_fit(train, config, box):
         fitted.append(len(train))
-        return fit(train, config)
+        return fit(train, config, box)
 
     monkeypatch.setattr(hierarchy_mod, "fit", counting_fit)
     records = [state.query(mu)[1] for mu in sweep_mus(box, 60, seed=11)]
@@ -329,7 +339,7 @@ def test_fit_failure_keeps_previous_model(monkeypatch):
     rm, train, counters = state.rm, state.train, dict(state.counters)
     assert len(train) == 2 and counters["fits"] == 1
 
-    def broken_fit(train, config):
+    def broken_fit(train, config, box):
         raise RuntimeError("synthetic fit failure")
 
     mu = ParameterPoint(3.0, 7.0)
@@ -412,7 +422,7 @@ def test_corner_warm_start_seeds_basis_and_training():
     ops = assemble(MeshSpec(24))
     grid = TimeGrid(1.0, 24)
     config = HierarchyConfig(warm_start_corners=True, retrain_every=2)
-    state = AdaptiveHierarchy(ops, grid, box, config, KernelConfig(box=box))
+    state = AdaptiveHierarchy(ops, grid, box, config, KernelConfig())
     assert len(state.train) == 4
     assert all(e.source == "FOM" for e in state.train)
     assert state.rm.dim > 0

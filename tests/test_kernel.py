@@ -24,7 +24,7 @@ from hiermor.kernel import (
 import synthetic
 
 BOX = ParameterBox()
-CONFIG = KernelConfig(box=BOX)
+CONFIG = KernelConfig()
 N_TIME = 12
 DT = 1.0 / N_TIME
 
@@ -54,7 +54,7 @@ def grid_points(n, box=BOX):
 def reference_newton_values(model, mu):
     """Per-call reference: normalize the centers with mu, scipy's triangular solve."""
     mus = np.array([[c.da, c.pe] for c in model.centers] + [[mu.da, mu.pe]])
-    z = _normalize(model.config.box, mus)
+    z = _normalize(model.box, mus)
     cross = _kernel_matrix(z[-1:], z[:-1], model.config.shape)[0]
     return la.solve_triangular(model.newton_cholesky, cross, lower=True)
 
@@ -67,7 +67,7 @@ def reference_predict(model, mu):
 
 def reference_power_function(model, mu):
     """Per-call reference with k(mu, mu) from `kernel`."""
-    diag = kernel(mu, mu, model.config)
+    diag = kernel(mu, mu, model.config, model.box)
     if model.n_centers == 0:
         return math.sqrt(diag)
     nu = reference_newton_values(model, mu)
@@ -82,7 +82,7 @@ def reference_power_function(model, mu):
 
 def test_kernel_is_one_on_diagonal():
     for mu in grid_points(5):
-        assert kernel(mu, mu, CONFIG) == 1.0
+        assert kernel(mu, mu, CONFIG, BOX) == 1.0
 
 
 @given(
@@ -93,7 +93,7 @@ def test_kernel_is_one_on_diagonal():
 )
 def test_kernel_symmetry_exact(da1, pe1, da2, pe2):
     a, b = ParameterPoint(da1, pe1), ParameterPoint(da2, pe2)
-    assert kernel(a, b, CONFIG) == kernel(b, a, CONFIG)
+    assert kernel(a, b, CONFIG, BOX) == kernel(b, a, CONFIG, BOX)
 
 
 def test_kernel_value_at_two_gamma_distance():
@@ -102,7 +102,7 @@ def test_kernel_value_at_two_gamma_distance():
     da = BOX.da_min + 2 * gamma * (BOX.da_max - BOX.da_min)
     a = ParameterPoint(BOX.da_min, BOX.pe_min)
     b = ParameterPoint(da, BOX.pe_min)
-    assert kernel(a, b, CONFIG) == pytest.approx(0.1353352832366127, rel=1e-12)
+    assert kernel(a, b, CONFIG, BOX) == pytest.approx(0.1353352832366127, rel=1e-12)
 
 
 def test_normalization_log_scale_for_pe():
@@ -192,13 +192,13 @@ def test_training_set_dedup_properties(inserts):
 
 def test_empty_training_set_raises():
     with pytest.raises(ValueError, match="empty"):
-        fit(TrainingSet(), CONFIG)
+        fit(TrainingSet(), CONFIG, BOX)
 
 
 def test_single_pair_interpolates():
     mu = ParameterPoint(2.0, 20.0)
     values = np.linspace(0.0, 1.0, N_TIME)
-    model = fit(training_set([(mu, values)]), CONFIG)
+    model = fit(training_set([(mu, values)]), CONFIG, BOX)
     assert model.n_centers == 1
     assert np.allclose(predict(model, mu).values, values, rtol=1e-12)
 
@@ -211,11 +211,11 @@ def test_recovers_known_kernel_expansion():
     coeffs = rng.standard_normal((3, N_TIME))
 
     def generator(mu):
-        weights = np.array([kernel(mu, c, CONFIG) for c in centers])
+        weights = np.array([kernel(mu, c, CONFIG, BOX) for c in centers])
         return weights @ coeffs
 
     config = dataclasses.replace(CONFIG, greedy_tol=1e-10)
-    model = fit(training_set([(c, generator(c)) for c in centers]), config)
+    model = fit(training_set([(c, generator(c)) for c in centers]), config, BOX)
     assert model.n_centers == 3
     for mu in grid_points(20):
         assert np.allclose(predict(model, mu).values, generator(mu), atol=1e-8)
@@ -223,7 +223,7 @@ def test_recovers_known_kernel_expansion():
 
 def test_fgreedy_first_pick_matches_brute_force():
     data = synthetic_targets(grid_points(5), seed=3)
-    model = fit(training_set(data), dataclasses.replace(CONFIG, max_centers=1))
+    model = fit(training_set(data), dataclasses.replace(CONFIG, max_centers=1), BOX)
     # brute force: residual of the zero model is the target itself
     norms = [qoi_norm(make_qoi(values)) for _, values in data]
     expected = data[int(np.argmax(norms))][0]
@@ -232,7 +232,7 @@ def test_fgreedy_first_pick_matches_brute_force():
 
 def test_interpolation_at_centers():
     data = synthetic_targets(grid_points(8), seed=4)
-    model = fit(training_set(data), CONFIG)
+    model = fit(training_set(data), CONFIG, BOX)
     lookup = dict((mu, values) for mu, values in data)
     for center in model.centers:
         target = lookup[center]
@@ -242,7 +242,7 @@ def test_interpolation_at_centers():
 
 def test_power_function_properties():
     data = synthetic_targets(grid_points(8), seed=5)
-    model = fit(training_set(data), CONFIG)
+    model = fit(training_set(data), CONFIG, BOX)
     for center in model.centers:
         assert power_function(model, center) < 1e-8
     empty = dataclasses.replace(model, centers=[], newton_cholesky=np.zeros((0, 0)),
@@ -259,7 +259,7 @@ def test_power_function_nonincreasing_in_centers():
     config = dataclasses.replace(CONFIG, greedy_tol=0.0)
     previous = None
     for m in range(1, 8):
-        model = fit(train, dataclasses.replace(config, max_centers=m))
+        model = fit(train, dataclasses.replace(config, max_centers=m), BOX)
         current = np.array([power_function(model, mu) for mu in probe])
         if previous is not None:
             assert np.all(current <= previous + 1e-10)
@@ -272,7 +272,7 @@ def test_greedy_residual_monotone():
     train, data, config = synthetic.monotone_training_set()
     maxima = []
     for m in range(1, len(data) + 1):
-        model = fit(train, dataclasses.replace(config, max_centers=m))
+        model = fit(train, dataclasses.replace(config, max_centers=m), synthetic.BOX)
         residuals = [
             qoi_norm(QoiVector(values - predict(model, mu).values, synthetic.DT))
             for mu, values in data
@@ -285,7 +285,7 @@ def test_greedy_residual_monotone():
 
 def test_zero_prediction_with_zero_centers():
     model = fit(training_set([(ParameterPoint(1, 10), np.zeros(N_TIME))]),
-                dataclasses.replace(CONFIG, greedy_tol=0.0))
+                dataclasses.replace(CONFIG, greedy_tol=0.0), BOX)
     # all-zero target: nothing to select
     assert model.n_centers == 0
     assert not predict(model, ParameterPoint(3, 30)).values.any()
@@ -294,10 +294,10 @@ def test_zero_prediction_with_zero_centers():
 def test_prediction_decays_far_from_centers():
     # wide box, centers clustered at one corner, probe at the far corner
     box = ParameterBox(da_min=0.0, da_max=1000.0, pe_min=1.0, pe_max=1e6)
-    config = KernelConfig(box=box, shape=0.05)
+    config = KernelConfig(shape=0.05)
     mus = [ParameterPoint(da, 1.5) for da in np.linspace(0.0, 5.0, 4)]
     data = synthetic_targets(mus, seed=8)
-    model = fit(training_set(data), config)
+    model = fit(training_set(data), config, box)
     far = ParameterPoint(1000.0, 1e6)
     max_norm = max(qoi_norm(make_qoi(v)) for _, v in data)
     assert qoi_norm(predict(model, far)) <= 1e-3 * max_norm
@@ -305,8 +305,8 @@ def test_prediction_decays_far_from_centers():
 
 def test_refit_is_bitwise_stable():
     data = synthetic_targets(grid_points(7), seed=9)
-    a = fit(training_set(data), CONFIG)
-    b = fit(training_set(data), CONFIG)
+    a = fit(training_set(data), CONFIG, BOX)
+    b = fit(training_set(data), CONFIG, BOX)
     assert a.centers == b.centers
     assert np.array_equal(a.newton_cholesky, b.newton_cholesky)
     assert np.array_equal(a.coeff_block, b.coeff_block)
@@ -315,7 +315,7 @@ def test_refit_is_bitwise_stable():
 def test_pgreedy_criterion_runs():
     data = synthetic_targets(grid_points(6), seed=10)
     config = dataclasses.replace(CONFIG, criterion="p", max_centers=4)
-    model = fit(training_set(data), config)
+    model = fit(training_set(data), config, BOX)
     assert 1 <= model.n_centers <= 4
     for center in model.centers:
         assert power_function(model, center) < 1e-8
@@ -324,7 +324,7 @@ def test_pgreedy_criterion_runs():
 def test_nugget_regularizes():
     data = synthetic_targets(grid_points(6), seed=11)
     config = dataclasses.replace(CONFIG, nugget=1e-3)
-    model = fit(training_set(data), config)
+    model = fit(training_set(data), config, BOX)
     assert model.n_centers >= 1
     mu = model.centers[0]
     pred = predict(model, mu)
@@ -342,7 +342,7 @@ def test_predict_matches_reference_bit_for_bit(tmp_path):
     # the cached center columns must follow every way a model is made:
     # fit, load_model, and dataclasses.replace (down to a nested sub-model)
     data = synthetic_targets(grid_points(9), seed=15)
-    model = fit(training_set(data), dataclasses.replace(CONFIG, greedy_tol=0.0))
+    model = fit(training_set(data), dataclasses.replace(CONFIG, greedy_tol=0.0), BOX)
     path = tmp_path / "model.bin"
     save_model(model, path)
     k = model.n_centers // 2
@@ -369,7 +369,7 @@ def test_predict_matches_reference_bit_for_bit(tmp_path):
 # The model family every prediction path must agree on: fitted, loaded, a
 # sub-model of a sub-model made by dataclasses.replace, and the empty model.
 FAMILY_BASE = fit(training_set(synthetic_targets(grid_points(9), seed=16)),
-                  dataclasses.replace(CONFIG, greedy_tol=0.0))
+                  dataclasses.replace(CONFIG, greedy_tol=0.0), BOX)
 FAMILY = ("fitted", "loaded", "nested", "empty")
 
 
@@ -427,7 +427,7 @@ def test_predict_and_power_function_bit_for_bit(model_family, which, mu):
 
 def test_save_load_roundtrip_bit_exact(tmp_path):
     data = synthetic_targets(grid_points(8), seed=13)
-    model = fit(training_set(data), CONFIG)
+    model = fit(training_set(data), CONFIG, BOX)
     path = tmp_path / "model.bin"
     save_model(model, path)
     clone = load_model(path)
@@ -435,6 +435,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(clone.newton_cholesky, model.newton_cholesky)
     assert np.array_equal(clone.coeff_block, model.coeff_block)
     assert clone.config == model.config
+    assert clone.box == model.box
     assert clone.dt == model.dt
     for mu in grid_points(5):
         assert np.array_equal(predict(clone, mu).values, predict(model, mu).values)
@@ -442,7 +443,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
 
 def test_load_rejects_unknown_version(tmp_path):
     data = synthetic_targets(grid_points(3), seed=14)
-    model = fit(training_set(data), CONFIG)
+    model = fit(training_set(data), CONFIG, BOX)
     path = tmp_path / "model.bin"
     save_model(model, path)
     with np.load(path) as archive:
