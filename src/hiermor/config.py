@@ -51,6 +51,10 @@ class SweepConfig:
 
 @dataclass
 class RunConfig:
+    """One run: each field is built by one config section (see SECTIONS).
+    `box` is the one parameter box; the FOM, the RB model and the kernel
+    surrogate all use it, so replacing it moves all three."""
+
     mesh: MeshSpec = field(default_factory=lambda: MeshSpec(256))
     grid: TimeGrid = field(default_factory=lambda: TimeGrid(1.0, 256))
     box: ParameterBox = field(default_factory=ParameterBox)

@@ -53,8 +53,10 @@ class KernelConfig:
     criterion: str = "f"
 
     def __post_init__(self):
-        if not 0.0 < self.shape < math.inf:
-            raise ValueError("shape must be positive and finite")
+        # the kernel divides by 2 shape^2, which must neither underflow nor overflow
+        if not (self.shape > 0.0 and 0.0 < 2.0 * (self.shape * self.shape) < math.inf):
+            raise ValueError("shape must be positive with 2 shape^2 positive and finite "
+                             "(about 1.5e-162 to 9.5e153)")
         if self.max_centers < 1:
             raise ValueError("max_centers must be >= 1")
         if self.greedy_tol is not None and not 0.0 <= self.greedy_tol < math.inf:
@@ -318,7 +320,13 @@ def save_model(model: KernelModel, path) -> None:
         )
 
 
+def _finite(array: np.ndarray) -> bool:
+    return array.dtype == np.float64 and bool(np.isfinite(array).all())
+
+
 def load_model(path) -> KernelModel:
+    """Read a `save_model` archive; ValueError for another format version and
+    for members that do not make a model `predict` can evaluate (see README)."""
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != FORMAT_VERSION:
@@ -331,12 +339,25 @@ def load_model(path) -> KernelModel:
             nugget=float(data["nugget"]),
             criterion=str(data["criterion"]),
         )
-        centers = [ParameterPoint(da, pe) for da, pe in data["centers"]]
+        centers, chol, coeffs = data["centers"], data["newton_cholesky"], data["coeff_block"]
+        dt = float(data["dt"])
+        k = centers.shape[0] if centers.ndim else 0
+        if centers.shape != (k, 2) or not _finite(centers):
+            raise ValueError(f"centers must be a finite float64 (k, 2) array; got {centers.shape}")
+        if (chol.shape != (k, k) or not _finite(chol) or np.triu(chol, 1).any()
+                or not (chol.diagonal() > 0.0).all()):
+            raise ValueError(f"newton_cholesky must be a finite lower-triangular ({k}, {k}) "
+                             f"float64 array with a positive diagonal; got {chol.shape}")
+        if coeffs.ndim != 2 or len(coeffs) != k or not _finite(coeffs):
+            raise ValueError(f"coeff_block must be a finite float64 ({k}, n) array; "
+                             f"got {coeffs.shape}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite; got {dt}")
         return KernelModel(
-            centers=centers,
-            newton_cholesky=data["newton_cholesky"],
-            coeff_block=data["coeff_block"],
+            centers=[ParameterPoint(da, pe) for da, pe in centers],
+            newton_cholesky=chol,
+            coeff_block=coeffs,
             config=config,
             box=ParameterBox(*data["box"].tolist()),
-            dt=float(data["dt"]),
+            dt=dt,
         )

@@ -307,8 +307,10 @@ def enrich(
     with `h_orthonormalize`, old modes first, so the old span is preserved
     exactly, and mapped out once as the modes `project` takes; when it keeps
     no new column (the POD found none) the model itself comes back.  One POD
-    serves every trajectory length.
+    serves every trajectory length.  ValueError for `max_modes` below 1.
     """
+    if max_modes < 1:
+        raise ValueError(f"max_modes must be >= 1; got {max_modes}")
     factor = ops.ip_factor
     y = factor.coords(fom_traj.coeffs.T)
     phi_y = factor.coords(rm.modes)

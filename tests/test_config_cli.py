@@ -102,12 +102,15 @@ def test_bad_value_reports_line():
         ("[parameters]\nda_min = 0.1\npe_min = -1\n", 3),
         ("[time]\nn_steps = 16\nt_end = -1\n", 3),
         ("[kernel]\nshape = 0.5\nmax_centers = 0\n", 3),
+        # 2 shape^2, the kernel's divisor, underflows to 0 or overflows to inf
+        ("[kernel]\nmax_centers = 5\nshape = 1e-170\n", 3),
+        ("[kernel]\nshape = 1e154\n", 2),
         # da_min keeps its default 0.1 and is not in the file: the section's
         # first key is cited.
         ("[parameters]\nda_max = 0.05\n", 2),
     ],
     ids=["n_cells", "retrain_every", "retrain_every_first", "pe_min", "t_end", "max_centers",
-         "da_min_default"],
+         "shape_tiny", "shape_huge", "da_min_default"],
 )
 def test_invalid_semantic_value_reports_line(section, lineno):
     with pytest.raises(ConfigError) as err:

@@ -441,15 +441,46 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(predict(clone, mu).values, predict(model, mu).values)
 
 
-def test_load_rejects_unknown_version(tmp_path):
-    data = synthetic_targets(grid_points(3), seed=14)
-    model = fit(training_set(data), CONFIG, BOX)
-    path = tmp_path / "model.bin"
-    save_model(model, path)
+def tampered_model_file(path, member, change):
+    """Save a fitted model to `path`, then replace `member` by `change(member)`."""
+    data = synthetic_targets(grid_points(8), seed=14)
+    save_model(fit(training_set(data), CONFIG, BOX), path)
     with np.load(path) as archive:
         payload = dict(archive)
-    payload["format_version"] = np.int64(99)
+    payload[member] = change(payload[member])
     with open(path, "wb") as fh:
         np.savez(fh, **payload)
+    return path
+
+
+def test_load_rejects_unknown_version(tmp_path):
+    path = tampered_model_file(tmp_path / "model.bin", "format_version", lambda _: np.int64(99))
     with pytest.raises(ValueError, match="version"):
         load_model(path)
+
+
+def with_nan(array):
+    out = array.copy()
+    out.flat[0] = np.nan
+    return out
+
+
+@pytest.mark.parametrize(
+    "member, change, message",
+    [("newton_cholesky", lambda chol: chol[:-1, :-1], "^newton_cholesky "),
+     ("newton_cholesky", lambda chol: chol.T.copy(), "^newton_cholesky "),
+     ("newton_cholesky", lambda chol: -chol, "^newton_cholesky "),
+     ("coeff_block", with_nan, "^coeff_block "),
+     ("centers", with_nan, "^centers "),
+     ("dt", lambda _: np.float64(0.0), "^dt "),
+     ("centers", lambda centers: centers[:-1], "^newton_cholesky ")],
+    ids=["factor_one_short", "factor_transposed", "factor_negative_diagonal",
+         "nan_coefficients", "nan_center", "zero_dt", "centers_one_short"],
+)
+def test_load_rejects_malformed_archive(tmp_path, capfd, member, change, message):
+    # each tampered file loaded before, and predicted wrong numbers, NaN, or
+    # made LAPACK print to stderr
+    path = tampered_model_file(tmp_path / "model.bin", member, change)
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+    assert capfd.readouterr().err == ""

@@ -620,6 +620,16 @@ def test_enrich_from_empty_equals_trajectory_pod(small_problem, reference_trajec
     assert np.abs(phi - psi @ (psi.T @ (ops.ip @ phi))).max() < 1e-8
 
 
+@pytest.mark.parametrize("max_modes", [0, -3])
+def test_enrich_rejects_max_modes_below_one(small_problem, reference_trajectory, max_modes):
+    # 0 would come back as (rm, 0), which reads as stagnation
+    ops, _ = small_problem
+    _, traj, _ = reference_trajectory
+    rm0 = project(ops, empty_basis(ops.n_dofs), np.zeros(ops.n_dofs))
+    with pytest.raises(ValueError, match=f"^max_modes must be >= 1; got {max_modes}$"):
+        enrich(rm0, traj, ops, max_modes=max_modes)
+
+
 def test_enrich_stagnates_when_trajectory_in_span(small_problem, reference_trajectory):
     ops, _ = small_problem
     mu, traj, _ = reference_trajectory
