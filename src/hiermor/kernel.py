@@ -340,7 +340,9 @@ def load_model(path) -> KernelModel:
             criterion=str(data["criterion"]),
         )
         centers, chol, coeffs = data["centers"], data["newton_cholesky"], data["coeff_block"]
-        dt = float(data["dt"])
+        box, dt = data["box"], float(data["dt"])
+        if box.shape != (4,):
+            raise ValueError(f"box must hold da_min, da_max, pe_min, pe_max; got {box.shape}")
         k = centers.shape[0] if centers.ndim else 0
         if centers.shape != (k, 2) or not _finite(centers):
             raise ValueError(f"centers must be a finite float64 (k, 2) array; got {centers.shape}")
@@ -358,6 +360,6 @@ def load_model(path) -> KernelModel:
             newton_cholesky=chol,
             coeff_block=coeffs,
             config=config,
-            box=ParameterBox(*data["box"].tolist()),
+            box=ParameterBox(*box.tolist()),
             dt=dt,
         )

@@ -473,13 +473,14 @@ def with_nan(array):
      ("coeff_block", with_nan, "^coeff_block "),
      ("centers", with_nan, "^centers "),
      ("dt", lambda _: np.float64(0.0), "^dt "),
-     ("centers", lambda centers: centers[:-1], "^newton_cholesky ")],
+     ("centers", lambda centers: centers[:-1], "^newton_cholesky "),
+     ("box", lambda box: box[:3], "^box ")],
     ids=["factor_one_short", "factor_transposed", "factor_negative_diagonal",
-         "nan_coefficients", "nan_center", "zero_dt", "centers_one_short"],
+         "nan_coefficients", "nan_center", "zero_dt", "centers_one_short", "box_one_short"],
 )
 def test_load_rejects_malformed_archive(tmp_path, capfd, member, change, message):
-    # each tampered file loaded before, and predicted wrong numbers, NaN, or
-    # made LAPACK print to stderr
+    # each tampered file loaded before, and predicted wrong numbers or NaN,
+    # made LAPACK print to stderr, or (box) took pe_max from the default box
     path = tampered_model_file(tmp_path / "model.bin", member, change)
     with pytest.raises(ValueError, match=message):
         load_model(path)
