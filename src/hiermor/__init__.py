@@ -19,7 +19,6 @@ from .fem import (
     ParameterPoint,
     QoiVector,
     TimeGrid,
-    Trajectory,
     assemble,
     qoi_norm,
     solve_fom,
@@ -47,7 +46,6 @@ __all__ = [
     "ReducedModel",
     "TimeGrid",
     "TrainingSet",
-    "Trajectory",
     "assemble",
     "coercivity_lb",
     "enrich",

@@ -41,7 +41,6 @@ __all__ = [
     "TimeGrid",
     "FomOperators",
     "IpFactor",
-    "Trajectory",
     "QoiVector",
     "assemble",
     "solve_fom",
@@ -164,13 +163,6 @@ def qoi_norm(q: QoiVector) -> float:
 
 
 @dataclass
-class Trajectory:
-    """Nodal coefficients per time step; row n is the solution at t_n (row 0 = c0)."""
-
-    coeffs: np.ndarray
-
-
-@dataclass
 class FomOperators:
     """Assembled, parameter-independent FEM blocks on the free nodes 1 .. n_cells.
 
@@ -268,8 +260,8 @@ class IpFactor:
         return cls(np.sqrt(d), e)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Y = D^1/2 L^T X for an (n, m) X, new and Fortran-ordered like a
-        trajectory's snapshots `coeffs.T`; its bits do not depend on X's layout."""
+        """Y = D^1/2 L^T X for an (n, m) X, new and Fortran-ordered like the
+        snapshots, the transpose of a coefficient array; its bits do not depend on X's layout."""
         xt = x.T
         yt = np.empty(xt.shape)
         np.multiply(xt[:, 1:], self.sub, out=yt[:, :-1])
@@ -454,17 +446,18 @@ def solve_fom(
     grid: TimeGrid,
     c0: np.ndarray,
     source: Callable[[float], np.ndarray] | None = None,
-) -> tuple[Trajectory, QoiVector]:
+) -> tuple[np.ndarray, QoiVector]:
     """March (mass + dt A(mu)) c^n = mass c^{n-1} + dt (b(mu) + source(t_n)).
 
-    The step matrix's bands, mass + dt A(mu) formed on `FomOperators.bands`
-    with the operations of the sparse sum, are factorized once by LAPACK
-    GTTRF.  Each step forms its right-hand side from the mass bands in the
-    trajectory's next row and solves there with GTTRS: six ufunc calls
-    writing through `out=` (the diagonal product, the sub- and
-    superdiagonal products into one preallocated buffer, each added to its
-    shifted row view, then the load added), one positional GTTRS call, and
-    nothing else per step; the row views and `source`'s time points are
+    Returns the coefficient array (row n the state at t_n, row 0 = c0) and
+    the QoI.  The step matrix's bands, mass + dt A(mu) formed on
+    `FomOperators.bands` with the operations of the sparse sum, are
+    factorized once by LAPACK GTTRF.  Each step forms its right-hand side
+    from the mass bands in the array's next row and solves there with GTTRS:
+    six ufunc calls writing through `out=` (the diagonal product, the sub-
+    and superdiagonal products into one preallocated buffer, each added to
+    its shifted row view, then the load added), one positional GTTRS call,
+    and nothing else per step; the row views and `source`'s time points are
     made once before the loop.  Raises RuntimeError when the step matrix is
     exactly singular.  `source`, when given, must return an already
     assembled load vector; it is a hook for manufactured-solution studies
@@ -496,4 +489,4 @@ def solve_fom(
         if source is not None:
             add(rhs, dt * source(times[k]), out=rhs)
         dgttrs(dl, d, du, du2, ipiv, rhs, "N", 1)
-    return Trajectory(coeffs), QoiVector(coeffs[1:] @ ops.output, dt)
+    return coeffs, QoiVector(coeffs[1:] @ ops.output, dt)

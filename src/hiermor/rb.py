@@ -25,8 +25,8 @@ from scipy.linalg.lapack import dgeqp3, dgesv
 
 # `coercivity_constants` is called here by this name; the benchmark's span table
 # looks it up in this module.
-from .fem import (TERM_BANDS, FomOperators, ParameterPoint, QoiVector, TimeGrid, Trajectory,
-                  affine, coercivity_constants, theta)
+from .fem import (TERM_BANDS, FomOperators, ParameterPoint, QoiVector, TimeGrid, affine,
+                  coercivity_constants, theta)
 # `hapod` is not called here; the benchmark's span table looks it up in this module.
 from .pod import h_orthonormalize, hapod, pod, project_out  # noqa: F401
 
@@ -289,7 +289,7 @@ CONTAINMENT_RTOL = 1e-7
 
 def enrich(
     rm: ReducedModel,
-    fom_traj: Trajectory,
+    coeffs: np.ndarray,
     ops: FomOperators,
     energy_tol: float = 1e-6,
     max_modes: int = 25,
@@ -312,7 +312,7 @@ def enrich(
     if max_modes < 1:
         raise ValueError(f"max_modes must be >= 1; got {max_modes}")
     factor = ops.ip_factor
-    y = factor.coords(fom_traj.coeffs.T)
+    y = factor.coords(coeffs.T)
     phi_y = factor.coords(rm.modes)
     _, err_t = project_out(y, phi_y)
     if np.einsum("ij,ij->", err_t, err_t) <= CONTAINMENT_RTOL**2 * np.einsum("ij,ij->", y, y):

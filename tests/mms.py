@@ -44,7 +44,7 @@ def error_l2l2(n_cells: int, n_steps: int, mu: ParameterPoint, t_end: float = 1.
     traj, _ = solve_fom(ops, mu, grid, np.sin(np.pi * nodes), source=source)
     err_sq = 0.0
     for k, t in enumerate(grid.times(), start=1):
-        e = traj.coeffs[k] - exact(nodes, t)
+        e = traj[k] - exact(nodes, t)
         err_sq += grid.dt * float(e @ (ops.mass @ e))
     return float(np.sqrt(err_sq))
 

@@ -131,7 +131,7 @@ def test_criterion_3_pod_identity_and_hapod_bound(desk_fom):
 
     ops, grid = desk_fom
     traj, _ = solve_fom(ops, ParameterPoint(1.0, 10.0), grid, np.zeros(ops.n_dofs))
-    snaps = traj.coeffs.T
+    snaps = traj.T
     m = snaps.shape[1]
     eps = 1e-6
     hier = hapod(np.array_split(snaps, 8, axis=1), ops.ip, eps_star=eps, omega=0.5)
@@ -252,7 +252,7 @@ def test_criterion_7_online_complexity_independent_of_dofs():
         ops = assemble(MeshSpec(n_cells))
         c0 = np.zeros(ops.n_dofs)
         traj, _ = solve_fom(ops, mu, grid, c0)
-        basis = pod(traj.coeffs.T, ops.ip, rank=10)
+        basis = pod(traj.T, ops.ip, rank=10)
         assert basis.dim == 10
         models[n_cells] = project(ops, basis.modes, c0)
 

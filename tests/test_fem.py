@@ -235,14 +235,14 @@ def test_steady_state_is_fixed_point():
     grid = TimeGrid(1.0, 32)
     traj, qoi = solve_fom(ops, mu, grid, c_star)
     expected = float(ops.output @ c_star)
-    assert np.allclose(traj.coeffs, c_star, rtol=1e-10, atol=1e-12)
+    assert np.allclose(traj, c_star, rtol=1e-10, atol=1e-12)
     assert np.allclose(qoi.values, expected, rtol=1e-10)
 
 
 def test_trajectory_row0_is_initial_condition(reference_trajectory, small_problem):
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
-    assert np.array_equal(traj.coeffs[0], np.zeros(ops.n_dofs))
+    assert np.array_equal(traj[0], np.zeros(ops.n_dofs))
 
 
 def test_c0_length_check(small_problem):
@@ -255,8 +255,8 @@ def test_discrete_maximum_principle():
     ops = assemble(MeshSpec(256))
     grid = TimeGrid(1.0, 256)
     traj, _ = solve_fom(ops, ParameterPoint(0.0, 50.0), grid, np.zeros(ops.n_dofs))
-    assert traj.coeffs.min() >= -1e-10
-    assert traj.coeffs.max() <= 1.0 + 1e-10
+    assert traj.min() >= -1e-10
+    assert traj.max() <= 1.0 + 1e-10
 
 
 def splu_solve_fom(ops, mu, grid, c0, source=None):
@@ -284,10 +284,10 @@ def test_solve_fom_matches_splu_stepping(n_cells, n_steps, case):
     source = (lambda t: np.sin(np.pi * x) * np.cos(t)) if case == "source" else None
     traj, qoi = solve_fom(ops, mu, grid, c0, source)
     ref, ref_qoi = splu_solve_fom(ops, mu, grid, c0, source)
-    assert np.array_equal(traj.coeffs[0], c0)
-    assert np.abs(traj.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(traj[0], c0)
+    assert np.abs(traj - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(qoi.values - ref_qoi).max() <= 1e-12 * np.abs(ref_qoi).max()
-    assert np.array_equal(qoi.values, traj.coeffs[1:, -1])
+    assert np.array_equal(qoi.values, traj[1:, -1])
 
 
 def test_factorization_reuse_is_bitwise_identical(small_problem):
@@ -312,7 +312,7 @@ def test_factorization_reuse_is_bitwise_identical(small_problem):
         assert info == 0
         c, info = dgttrs(*factors, rhs)
         rows.append(c.copy())
-    assert np.array_equal(traj.coeffs, np.vstack(rows))
+    assert np.array_equal(traj, np.vstack(rows))
     assert np.array_equal(qoi.values, np.vstack(rows)[1:] @ ops.output)
 
 
@@ -338,7 +338,7 @@ def test_step_bands_have_the_bits_of_the_sparse_step_matrix(desk_problem, mu, mo
         assert band.tobytes() == want.diagonal(k).tobytes()
 
 
-# sha256 of `solve_fom(...).coeffs` from zero, on the desk mesh and grid
+# sha256 of `solve_fom(...)[0]` from zero, on the desk mesh and grid
 MARCH_SHA256 = {
     ParameterPoint(2.0, 30.0): "43b96f21da7b8b78aed507b3908a33bad00b68e05e432e301a8d0fd3949bc1e8",
     ParameterPoint(0.1, 1.0): "3c5cc8b2dd1b86dc16413ba9275672d50cf55604757b1fec0fb17b0cd55745d9",
@@ -352,14 +352,14 @@ MARCH_SHA256 = {
 def test_solve_fom_trajectory_bits_are_pinned(desk_problem, mu):
     ops, grid = desk_problem
     traj, _ = solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
-    assert hashlib.sha256(traj.coeffs.tobytes()).hexdigest() == MARCH_SHA256[mu]
+    assert hashlib.sha256(traj.tobytes()).hexdigest() == MARCH_SHA256[mu]
 
 
 def test_solve_fom_trajectory_bits_are_pinned_with_source():
     mu = ParameterPoint(1.0, 5.0)
     ops, nodes, source = mms.manufactured(32, mu)
     traj, _ = solve_fom(ops, mu, TimeGrid(1.0, 128), np.sin(np.pi * nodes), source)
-    assert (hashlib.sha256(traj.coeffs.tobytes()).hexdigest()
+    assert (hashlib.sha256(traj.tobytes()).hexdigest()
             == "db4d7b687848e2fbc423c0d8eacad168d8a2a906b42be789c9c68f7ee4bbd175")
 
 
@@ -373,7 +373,7 @@ def test_solve_fom_does_not_build_the_sparse_step_matrix(small_problem, monkeypa
 
     monkeypatch.setattr(fem, "system_matrix", refuse)
     again, again_qoi = solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
-    assert np.array_equal(again.coeffs, traj.coeffs)
+    assert np.array_equal(again, traj)
     assert np.array_equal(again_qoi.values, qoi.values)
 
 

@@ -171,7 +171,7 @@ def _same_bits(a, b):
 def test_pod_depends_only_on_values(small_problem, reference_trajectory):
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
-    snapshots = traj.coeffs.T
+    snapshots = traj.T
     assert snapshots.flags.f_contiguous and not snapshots.flags.c_contiguous
     basis = pod(snapshots, ops.ip, rank=25, energy_tol=1e-6)
     assert basis.dim > 0
@@ -186,12 +186,12 @@ def test_pod_depends_only_on_values(small_problem, reference_trajectory):
 def test_pod_ignores_other_random_state(small_problem, reference_trajectory):
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
-    first = pod(traj.coeffs.T, ops.ip, rank=25, energy_tol=1e-6)
+    first = pod(traj.T, ops.ip, rank=25, energy_tol=1e-6)
     np.random.seed(1)
     np.random.standard_normal(100)
     np.random.default_rng().standard_normal(100)
     np.random.default_rng(0).standard_normal(100)
-    assert _same_bits(first, pod(traj.coeffs.T, ops.ip, rank=25, energy_tol=1e-6))
+    assert _same_bits(first, pod(traj.T, ops.ip, rank=25, energy_tol=1e-6))
 
 
 # -- the POD's pieces ---------------------------------------------------------
@@ -239,7 +239,7 @@ def test_sketch_is_read_only_and_a_fresh_seeded_draw():
 def test_pod_impl_bits_do_not_depend_on_the_sketch_cache(small_problem, reference_trajectory):
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
-    y = ops.ip_factor.coords(traj.coeffs.T)
+    y = ops.ip_factor.coords(traj.T)
     _sketch.cache_clear()
     cold = _pod_impl(y, 10, 1e-8, None)
     assert _sketch.cache_info().currsize == 1
@@ -251,7 +251,7 @@ def test_pod_impl_bits_do_not_depend_on_the_sketch_cache(small_problem, referenc
 
 def _small_blocks(ops, traj):
     """B = Q^T Y of a trajectory's range finder, and a Gaussian B."""
-    y = ops.ip_factor.coords(traj.coeffs.T)
+    y = ops.ip_factor.coords(traj.T)
     q = _qr(y @ _sketch(y.shape[1], 12))[0]
     yield q.T @ y
     yield np.random.default_rng(71).standard_normal((12, 57))
@@ -276,7 +276,7 @@ def test_only_a_sketch_narrower_than_the_snapshots_is_drawn(desk_problem, monkey
     # Q from the QR of the coordinates; criterion 3's trajectory, 256 x 257.
     ops, grid = desk_problem
     traj, _ = solve_fom(ops, ParameterPoint(1.0, 10.0), grid, np.zeros(ops.n_dofs))
-    snapshots = traj.coeffs.T
+    snapshots = traj.T
 
     def no_sketch(*args):
         raise AssertionError("a sketch no narrower than the snapshots was drawn")
@@ -402,7 +402,7 @@ def test_hapod_trajectory_bound_and_rank(small_problem):
     ops, grid = small_problem
     mu = ParameterPoint(1.0, 10.0)
     traj, _ = solve_fom(ops, mu, grid, np.zeros(ops.n_dofs))
-    snapshots = traj.coeffs.T
+    snapshots = traj.T
     m = snapshots.shape[1]
     eps = 1e-6
     chunks = np.array_split(snapshots, 8, axis=1)
@@ -422,7 +422,7 @@ def test_hapod_maps_each_chunk_in_once_and_the_modes_out_once(reference_trajecto
                                                                small_problem, factor_maps):
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
-    basis = hapod(np.array_split(traj.coeffs.T, 8, axis=1), ops.ip)
+    basis = hapod(np.array_split(traj.T, 8, axis=1), ops.ip)
     assert basis.dim > 0
     assert factor_maps == {"coords": 8, "from_coords": 1}
 

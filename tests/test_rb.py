@@ -290,7 +290,7 @@ def test_full_space_basis_reproduces_fom(small_problem):
     rm = project(ops, full_basis(ops), c0)
     rtraj, f_rb = solve_rb(rm, mu, grid)
     recon = rtraj[:, :rm.dim] @ rm.modes.T
-    assert np.abs(recon - traj.coeffs).max() < 1e-8
+    assert np.abs(recon - traj).max() < 1e-8
     assert np.abs(f_rb.values - f_h.values).max() < 1e-8
 
 
@@ -299,7 +299,7 @@ def test_reproduction_property(small_problem):
     mu = ParameterPoint(1.0, 10.0)
     c0 = np.zeros(ops.n_dofs)
     traj, f_h = solve_fom(ops, mu, grid, c0)
-    basis = pod(traj.coeffs.T, ops.ip, energy_tol=1e-10).modes
+    basis = pod(traj.T, ops.ip, energy_tol=1e-10).modes
     rm = project(ops, basis, c0)
     _, f_rb = solve_rb(rm, mu, grid)
     err = qoi_norm(QoiVector(f_h.values - f_rb.values, grid.dt))
@@ -312,8 +312,8 @@ def test_solve_rb_matches_stepping_reference(small_problem, reference_trajectory
     # partial block; a mid-trajectory initial state makes red_init nonzero
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
-    c0 = traj.coeffs[len(traj.coeffs) // 2]
-    rm = project(ops, pod(traj.coeffs.T, ops.ip, energy_tol=1e-10).modes, c0)
+    c0 = traj[len(traj) // 2]
+    rm = project(ops, pod(traj.T, ops.ip, energy_tol=1e-10).modes, c0)
     grid = TimeGrid(1.0, n_steps)
     mu = ParameterPoint(2.0, 25.0)
     rtraj, qoi = solve_rb(rm, mu, grid)
@@ -453,7 +453,7 @@ def test_estimate_matches_weights_reference(nonzero_c0):
     mus = [ParameterPoint(rng.uniform(0.1, 10.0), rng.uniform(1.0, 100.0)) for _ in range(6)]
     c0 = np.zeros(ops.n_dofs)
     if nonzero_c0:
-        c0 = solve_fom(ops, mus[-1], grid, c0)[0].coeffs[grid.n_steps // 8]
+        c0 = solve_fom(ops, mus[-1], grid, c0)[0][grid.n_steps // 8]
     rm = project(ops, empty_basis(ops.n_dofs), c0)
     checked = []
     for train_mu in [None] + mus[:2]:
@@ -489,7 +489,7 @@ def test_online_tier_property(small_problem, reference_trajectory, r, seed, c0_r
     ops, _ = small_problem
     _, traj, _ = reference_trajectory
     grid = TimeGrid(1.0, n_steps)
-    c0 = traj.coeffs[c0_row]
+    c0 = traj[c0_row]
     rm = project(ops, random_basis(ops, r, seed) if r else empty_basis(ops.n_dofs), c0)
 
     rtraj, qoi = solve_rb(rm, mu, grid)
@@ -613,7 +613,7 @@ def test_enrich_from_empty_equals_trajectory_pod(small_problem, reference_trajec
     _, traj, _ = reference_trajectory
     rm0 = project(ops, empty_basis(ops.n_dofs), np.zeros(ops.n_dofs))
     rm1, added = enrich(rm0, traj, ops, energy_tol=1e-6, max_modes=25)
-    direct = pod(traj.coeffs.T, ops.ip, rank=25, energy_tol=1e-6)
+    direct = pod(traj.T, ops.ip, rank=25, energy_tol=1e-6)
     assert added == direct.dim
     # same span: cross-projection is lossless both ways
     phi, psi = rm1.modes, direct.modes
@@ -697,7 +697,7 @@ def test_enrich_long_trajectory_matches_hapod_rank():
     rtraj, _ = solve_rb(rm1, mu, grid)
     assert estimate(rm1, mu, rtraj, grid).delta_rb <= 1e-2
     # HAPOD on 8 chunks with the per-snapshot tolerance of the same energy rule
-    snapshots = traj.coeffs.T
+    snapshots = traj.T
     m = snapshots.shape[1]
     total = float(np.einsum("ij,ij->", snapshots, ops.ip @ snapshots))
     hier = hapod(np.array_split(snapshots, 8, axis=1), ops.ip,
@@ -751,7 +751,7 @@ def test_enrich_matches_dense_oracle(small_problem, reference_trajectory, monkey
     # is the SVD of C^T err, whose tails are exact.
     h = ops.ip.toarray()
     chol = np.linalg.cholesky(h)
-    snapshots, phi = traj.coeffs.T, basis
+    snapshots, phi = traj.T, basis
     err = snapshots - phi @ (phi.T @ (h @ snapshots))
     u, sigma, _ = np.linalg.svd(chol.T @ err)
     tails = np.append(np.cumsum(sigma[::-1] ** 2)[::-1], 0.0)
