@@ -324,23 +324,43 @@ def _finite(array: np.ndarray) -> bool:
     return array.dtype == np.float64 and bool(np.isfinite(array).all())
 
 
+# The members `save_model` writes (README, "Model file format").
+MODEL_MEMBERS = frozenset({"format_version", "box", "shape", "max_centers", "greedy_tol", "nugget",
+                           "criterion", "centers", "newton_cholesky", "coeff_block", "dt"})
+_KIND_NAMES = {"i": "integer", "f": "float", "U": "unicode"}
+
+
+def _scalar(data, name: str, kind: str):
+    """Member `name` as a Python scalar; ValueError unless it is a 0-d array
+    of dtype kind `kind` ("i", "f" or "U")."""
+    value = data[name]
+    if value.ndim != 0 or value.dtype.kind != kind:
+        raise ValueError(f"{name} must be a 0-d {_KIND_NAMES[kind]} array; "
+                         f"got {value.dtype} of shape {value.shape}")
+    return value.item()
+
+
 def load_model(path) -> KernelModel:
     """Read a `save_model` archive; ValueError for another format version and
     for members that do not make a model `predict` can evaluate (see README)."""
     with np.load(path) as data:
-        version = int(data["format_version"])
+        missing, unknown = MODEL_MEMBERS - set(data.files), set(data.files) - MODEL_MEMBERS
+        if missing or unknown:
+            raise ValueError(f"model archive members: missing {sorted(missing)}, "
+                             f"unknown {sorted(unknown)}")
+        version = _scalar(data, "format_version", "i")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
-        tol = float(data["greedy_tol"])
+        tol = _scalar(data, "greedy_tol", "f")
         config = KernelConfig(
-            shape=float(data["shape"]),
-            max_centers=int(data["max_centers"]),
+            shape=_scalar(data, "shape", "f"),
+            max_centers=_scalar(data, "max_centers", "i"),
             greedy_tol=None if math.isnan(tol) else tol,
-            nugget=float(data["nugget"]),
-            criterion=str(data["criterion"]),
+            nugget=_scalar(data, "nugget", "f"),
+            criterion=_scalar(data, "criterion", "U"),
         )
         centers, chol, coeffs = data["centers"], data["newton_cholesky"], data["coeff_block"]
-        box, dt = data["box"], float(data["dt"])
+        box, dt = data["box"], _scalar(data, "dt", "f")
         if box.shape != (4,):
             raise ValueError(f"box must hold da_min, da_max, pe_min, pe_max; got {box.shape}")
         k = centers.shape[0] if centers.ndim else 0

@@ -442,12 +442,15 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
 
 
 def tampered_model_file(path, member, change):
-    """Save a fitted model to `path`, then replace `member` by `change(member)`."""
+    """Save a fitted model to `path`, then replace `member` by `change(member)`
+    (`change(None)` for a member the archive lacks); None drops the member."""
     data = synthetic_targets(grid_points(8), seed=14)
     save_model(fit(training_set(data), CONFIG, BOX), path)
     with np.load(path) as archive:
         payload = dict(archive)
-    payload[member] = change(payload[member])
+    value = change(payload.pop(member, None))
+    if value is not None:
+        payload[member] = value
     with open(path, "wb") as fh:
         np.savez(fh, **payload)
     return path
@@ -474,9 +477,19 @@ def with_nan(array):
      ("centers", with_nan, "^centers "),
      ("dt", lambda _: np.float64(0.0), "^dt "),
      ("centers", lambda centers: centers[:-1], "^newton_cholesky "),
-     ("box", lambda box: box[:3], "^box ")],
+     ("box", lambda box: box[:3], "^box "),
+     ("dt", lambda _: None, r"^model archive members: missing \['dt'\]"),
+     ("box", lambda _: None, r"^model archive members: missing \['box'\]"),
+     ("rb_dim", lambda _: np.int64(36), r"^model archive members: missing \[\], unknown \['rb_dim'\]"),
+     ("shape", lambda shape: np.array([shape, shape]), "^shape "),
+     ("dt", lambda dt: np.array([dt]), "^dt "),
+     ("format_version", lambda version: np.array([version]), "^format_version "),
+     ("format_version", lambda _: np.float64(1.9), "^format_version "),
+     ("max_centers", lambda _: np.float64(2.7), "^max_centers ")],
     ids=["factor_one_short", "factor_transposed", "factor_negative_diagonal",
-         "nan_coefficients", "nan_center", "zero_dt", "centers_one_short", "box_one_short"],
+         "nan_coefficients", "nan_center", "zero_dt", "centers_one_short", "box_one_short",
+         "dt_missing", "box_missing", "unknown_member", "shape_two_values", "dt_one_value",
+         "version_one_value", "version_fraction", "max_centers_fraction"],
 )
 def test_load_rejects_malformed_archive(tmp_path, capfd, member, change, message):
     # each tampered file loaded before, and predicted wrong numbers or NaN,
