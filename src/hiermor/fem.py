@@ -112,13 +112,16 @@ class ParameterBox:
 
 @dataclass(frozen=True)
 class MeshSpec:
-    """Uniform mesh of [0, 1] with nodes x_i = i * h, h = 1 / n_cells."""
+    """Uniform mesh of [0, 1] with nodes x_i = i * h, h = 1 / n_cells.
+
+    At least 3 cells: LAPACK GTTRF, which factors the FOM step matrix, takes
+    no fewer than 3 free nodes through scipy's wrapper."""
 
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError("n_cells must be >= 2")
+        if self.n_cells < 3:
+            raise ValueError("n_cells must be >= 3")
 
     @property
     def h(self) -> float:

@@ -399,9 +399,10 @@ def test_seed_override_changes_sweep(tmp_path):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    # an invalid value, then a byte that is not UTF-8: both on line 2
+    # invalid values, then a byte that is not UTF-8: all on line 2
     path = tmp_path / "bad.ini"
-    for body in (b"[mesh]\nn_cells = -4\n[sweep]\nseed = 1\n", b"[mesh]\nn_cells = 2\xff\n"):
+    for body in (b"[mesh]\nn_cells = -4\n[sweep]\nseed = 1\n",
+                 b"[mesh]\nn_cells = 2\n[sweep]\nseed = 1\n", b"[mesh]\nn_cells = 2\xff\n"):
         path.write_bytes(body)
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err

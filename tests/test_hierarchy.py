@@ -51,6 +51,17 @@ def sweep_mus(box, n, seed):
 # -- query routing --------------------------------------------------------------
 
 
+def test_smallest_mesh_answers_a_fom_query():
+    # two cells leave two free nodes, which the FOM's tridiagonal factorization rejects
+    with pytest.raises(ValueError, match="^n_cells must be >= 3"):
+        MeshSpec(2)
+    state = make_state(n_cells=3, n_steps=8)
+    answer, record = state.query(ParameterPoint(1.0, 10.0))
+    assert record.model_used == "FOM"
+    assert record.rb_dim_after > 0
+    assert answer.values.shape == (8,) and np.isfinite(answer.values).all()
+
+
 def test_first_query_takes_fom_branch():
     state = make_state()
     _, record = state.query(ParameterPoint(1.0, 10.0))
