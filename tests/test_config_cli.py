@@ -18,6 +18,10 @@ from hiermor.hierarchy import HierarchyConfig
 from hiermor.kernel import KernelConfig
 from hiermor.report import BRANCH_COLORS
 
+# the shipped configs, found from this file so that any working directory will do
+ROOT = Path(__file__).resolve().parent.parent
+DESK_CONFIG = ROOT / "configs" / "desk.ini"
+
 SMALL_CONFIG = """
 [mesh]
 n_cells = 32
@@ -55,13 +59,13 @@ def test_defaults_round_trip():
 
 
 def test_annotated_example_config_parses():
-    config = load_config("configs/desk.ini")
+    config = load_config(DESK_CONFIG)
     assert config.sweep.seed == 42
     assert config.hierarchy.retrain_every == 10
 
 
 def test_annotated_example_config_shows_the_defaults():
-    assert load_config("configs/desk.ini") == parse_config("[sweep]\nseed = 42\n")
+    assert load_config(DESK_CONFIG) == parse_config("[sweep]\nseed = 42\n")
 
 
 def test_unknown_key_reports_line():
@@ -210,7 +214,7 @@ def _shipped(n_cells=256, n_steps=256, **hierarchy):
     ids=["configs-desk", "desk", "certified", "tight", "large"],
 )
 def test_shipped_config_parses_to_expected(path, expected):
-    assert load_config(path) == expected
+    assert load_config(ROOT / path) == expected
 
 
 def test_key_outside_section_rejected():
@@ -399,14 +403,31 @@ def test_seed_override_changes_sweep(tmp_path):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    # invalid values, then a byte that is not UTF-8: all on line 2
+    # each body is wrong on line 2: an invalid value, a byte that is not UTF-8,
+    # a line the parser cannot read or a value its section rejects
     path = tmp_path / "bad.ini"
-    for body in (b"[mesh]\nn_cells = -4\n[sweep]\nseed = 1\n",
-                 b"[mesh]\nn_cells = 2\n[sweep]\nseed = 1\n", b"[mesh]\nn_cells = 2\xff\n"):
+    for body, message in (
+        (b"[mesh]\nn_cells = -4\n[sweep]\nseed = 1\n", "mesh.n_cells must be >= 3"),
+        (b"[mesh]\nn_cells = 2\n[sweep]\nseed = 1\n", "mesh.n_cells must be >= 3"),
+        (b"[mesh]\nn_cells = 2\xff\n", "not UTF-8: byte 0xff"),
+        (b"[mesh]\n[ ]\n", "empty section name"),
+        (b"[mesh]\nn_cells\n", "expected 'key = value', got 'n_cells'"),
+        (b"[mesh]\n= 3\n", "missing key before '='"),
+        (b"[hierarchy]\nrom_tol = abc\n", "hierarchy.rom_tol: not a number: 'abc'"),
+        (b"[hierarchy]\nrom_tol = inf\n", "hierarchy.rom_tol: not finite: 'inf'"),
+        (b"[output]\nsave_model = maybe\n", "output.save_model: not a boolean: 'maybe'"),
+        (b"[parameters]\npe_min = 100\n", "parameters.pe_min must be < pe_max"),
+        # dt = 1e-313 is subnormal, so dt * n_steps misses t_end
+        (b"[time]\nt_end = 1e-310\nn_steps = 1000\n",
+         "time.dt * n_steps must equal t_end to machine precision"),
+        (b"[hierarchy]\ntrust_threshold = 0\n", "hierarchy.trust_threshold must be >= 1"),
+        (b"[hierarchy]\ntrust_mode = sometimes\n", "hierarchy.trust_mode must be one of "),
+        (b"[kernel]\ncriterion = q\n", "kernel.criterion must be one of f, p; got 'q'"),
+    ):
         path.write_bytes(body)
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "bad.ini:2" in err
+        assert err.startswith(f"{path}:2: {message}"), err
 
 
 def test_negative_seed_override_exit_code(tmp_path, capsys):
@@ -555,6 +576,19 @@ def test_effectivity_lines_independent_of_row_order():
         "effectivity delta_rb/rb_error: min nan median nan max nan (n=3)",
         "effectivity certificate/ml_error: min nan median nan max nan (n=3)",
     )}
+
+
+def test_effectivity_without_nonzero_errors():
+    from hiermor.cli import ValidationReport, ValidationRow
+    from hiermor.fem import ParameterPoint
+
+    row = ValidationRow(ParameterPoint(1.0, 10.0), rb_error=0.0, delta_rb=1e-2, ml_error=0.0,
+                        certificate=1e-2)
+    lines = ValidationReport([row, row]).text().splitlines()
+    assert [line for line in lines if line.startswith("effectivity")] == [
+        "effectivity delta_rb/rb_error: no nonzero errors",
+        "effectivity certificate/ml_error: no nonzero errors",
+    ]
 
 
 def test_worst_ratio_lines_agree_with_flags():

@@ -195,6 +195,13 @@ def test_empty_training_set_raises():
         fit(TrainingSet(), CONFIG, BOX)
 
 
+def test_targets_with_different_dt_raise():
+    train = training_set([(ParameterPoint(1.0, 10.0), np.ones(N_TIME))])
+    train.add(ParameterPoint(2.0, 20.0), QoiVector(np.ones(N_TIME), 2 * DT), "RB")
+    with pytest.raises(ValueError, match="^training targets disagree on dt$"):
+        fit(train, CONFIG, BOX)
+
+
 def test_single_pair_interpolates():
     mu = ParameterPoint(2.0, 20.0)
     values = np.linspace(0.0, 1.0, N_TIME)

@@ -532,6 +532,14 @@ def test_coercivity_lb_linear_in_da(small_problem):
     assert a4 - a2 == pytest.approx(2 * rm.gamma_react, rel=1e-10)
 
 
+def test_coercivity_lb_rejects_a_nonpositive_alpha(small_problem):
+    ops, _ = small_problem
+    rm = project(ops, empty_basis(ops.n_dofs), np.zeros(ops.n_dofs))
+    # da = 0 and pe = inf lie outside every ParameterBox and leave alpha = 0
+    with pytest.raises(ValueError, match="outside the coercive regime"):
+        coercivity_lb(rm, ParameterPoint(0.0, math.inf))
+
+
 def test_coercivity_value_formula(small_problem):
     ops, _ = small_problem
     gamma_diff, gamma_react = coercivity_constants(ops)
