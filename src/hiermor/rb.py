@@ -294,13 +294,14 @@ def enrich(
     energy_tol: float = 1e-6,
     max_modes: int = 25,
 ) -> tuple[ReducedModel, int]:
-    """Extend the basis by a POD of the trajectory's H-orthogonal projection error.
+    """Extend the basis by a POD of the H-orthogonal projection error of a
+    coefficient array (`solve_fom`'s, one snapshot per row).
 
     Returns the rebuilt model and the number of modes added; zero added modes
     signals that the trajectory is already contained in the span and lets the
     caller detect stagnation.  Everything happens in the coordinates
     Y = D^1/2 L^T X of ip's cached factor (`FomOperators.ip_factor`), where
-    the H inner product is the Euclidean one: the trajectory and the basis
+    the H inner product is the Euclidean one: the snapshots and the basis
     are mapped in once each, `project_out` forms the error Y - Phi_Y (Phi_Y^T Y)
     there, and the containment test and the POD (`pod` without `ip`) read
     that one array.  The union [Phi_Y, new modes] is reorthonormalized
