@@ -263,8 +263,8 @@ class IpFactor:
         return cls(np.sqrt(d), e)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Y = D^1/2 L^T X for an (n, m) X, new and Fortran-ordered like the
-        snapshots, the transpose of a coefficient array; its bits do not depend on X's layout."""
+        """Y = D^1/2 L^T X for an (n, m) X, new and Fortran-ordered like a
+        coefficient array's transpose; its bits do not depend on X's layout."""
         xt = x.T
         yt = np.empty(xt.shape)
         np.multiply(xt[:, 1:], self.sub, out=yt[:, :-1])
