@@ -249,11 +249,6 @@ class IpFactor:
     sub: np.ndarray
 
     @classmethod
-    def of(cls, ip) -> IpFactor:
-        """ValueError unless ip is symmetric tridiagonal and positive definite."""
-        return cls.of_bands(*tridiagonal(ip))
-
-    @classmethod
     def of_bands(cls, main: np.ndarray, off: np.ndarray) -> IpFactor:
         """The factor of the symmetric tridiagonal matrix with these bands;
         ValueError unless it is positive definite."""

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
-from .fem import IpFactor
+from .fem import IpFactor, tridiagonal
 
 __all__ = ["PodBasis", "pod", "hapod", "h_orthonormalize", "project_out"]
 
@@ -55,7 +55,7 @@ _EUCLIDEAN = SimpleNamespace(coords=np.asfortranarray, from_coords=lambda y: y)
 
 def _factor(ip):
     """The factor of the inner product matrix; for None, the identity map."""
-    return _EUCLIDEAN if ip is None else IpFactor.of(ip)
+    return _EUCLIDEAN if ip is None else IpFactor.of_bands(*tridiagonal(ip))
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:

@@ -46,6 +46,17 @@ def summary_text(records: list[QueryRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text(x, y, size, body, attrs=""):
+    """A sans-serif text element; `attrs` is markup placed after its position."""
+    pad = attrs and " " + attrs
+    return f'<text x="{x}" y="{y}"{pad} font-family="sans-serif" font-size="{size}">{body}</text>'
+
+
+def _line(x1, y1, x2, y2, color):
+    """A line element stroked in `color`."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{color}"/>'
+
+
 def timing_scatter_svg(records: list[QueryRecord]) -> str:
     """Figure-style scatter of per-query wall time, log scale, one dot per query."""
     margin = {"left": 70, "right": 150, "top": 30, "bottom": 50}
@@ -70,43 +81,25 @@ def timing_scatter_svg(records: list[QueryRecord]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{margin["left"]}" y="18" font-family="sans-serif" font-size="14">'
-        "query time per model tier</text>",
+        _text(margin["left"], 18, 14, "query time per model tier"),
     ]
     axis_color = "#555555"
     x0, y0 = margin["left"], margin["top"] + plot_h
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="{axis_color}"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{margin["top"]}" x2="{x0}" y2="{y0}" stroke="{axis_color}"/>'
-    )
+    parts.append(_line(x0, y0, x0 + plot_w, y0, axis_color))
+    parts.append(_line(x0, margin["top"], x0, y0, axis_color))
     for decade in range(lo, hi + 1):
         y = y_of(decade)
-        parts.append(
-            f'<line x1="{x0 - 4}" y1="{y:.2f}" x2="{x0 + plot_w}" y2="{y:.2f}" '
-            f'stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">1e{decade}</text>'
-        )
+        parts.append(_line(x0 - 4, f"{y:.2f}", x0 + plot_w, f"{y:.2f}", "#dddddd"))
+        parts.append(_text(x0 - 8, f"{y + 4:.2f}", 11, f"1e{decade}", 'text-anchor="end"'))
     ticks = sorted({1, n // 2 or 1, n})
     for tick in ticks:
         x = x_of(tick)
-        parts.append(
-            f'<text x="{x:.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick}</text>'
-        )
-    parts.append(
-        f'<text x="{x0 + plot_w / 2:.2f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="12">query index</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{margin["top"] + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {margin["top"] + plot_h / 2:.2f})" '
-        'font-family="sans-serif" font-size="12">wall time [s]</text>'
-    )
+        parts.append(_text(f"{x:.2f}", y0 + 18, 11, tick, 'text-anchor="middle"'))
+    parts.append(_text(f"{x0 + plot_w / 2:.2f}", HEIGHT - 12, 12, "query index",
+                       'text-anchor="middle"'))
+    mid = f"{margin['top'] + plot_h / 2:.2f}"
+    parts.append(_text(16, mid, 12, "wall time [s]",
+                       f'text-anchor="middle" transform="rotate(-90 16 {mid})"'))
 
     for rec, logt in zip(records, logs):
         parts.append(
@@ -118,10 +111,7 @@ def timing_scatter_svg(records: list[QueryRecord]) -> str:
     for i, branch in enumerate(BRANCHES):
         ly = margin["top"] + 16 + 20 * i
         parts.append(f'<circle cx="{lx}" cy="{ly}" r="5" fill="{BRANCH_COLORS[branch]}"/>')
-        parts.append(
-            f'<text x="{lx + 12}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{branch}</text>'
-        )
+        parts.append(_text(lx + 12, ly + 4, 12, branch))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -136,7 +136,7 @@ def test_operator_products_have_the_bits_of_csr_products(n_cells, r):
 
 def test_ip_factor_is_factored_once_per_operator_set(monkeypatch):
     ops = assemble(MeshSpec(16))
-    fresh = IpFactor.of(ops.ip)
+    fresh = IpFactor.of_bands(*fem.tridiagonal(ops.ip))
     factor = ops.ip_factor
     assert ops.ip_factor is factor
     assert np.array_equal(factor.root_d, fresh.root_d) and np.array_equal(factor.sub, fresh.sub)
