@@ -341,9 +341,16 @@ def _scalar(data, name: str, kind: str):
 
 
 def load_model(path) -> KernelModel:
-    """Read a `save_model` archive; ValueError for another format version and
-    for members that do not make a model `predict` can evaluate (see README)."""
-    with np.load(path) as data:
+    """Read a `save_model` archive; ValueError for a file that is not an NPZ
+    archive, for another format version and for members that do not make a
+    model `predict` can evaluate (see README)."""
+    try:
+        data = np.load(path)
+    except (EOFError, ValueError):  # an empty file; a file that is no NPY or NPZ
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):  # a lone .npy loads as an array
+        raise ValueError(f"{path} is not an NPZ archive")
+    with data:
         missing, unknown = MODEL_MEMBERS - set(data.files), set(data.files) - MODEL_MEMBERS
         if missing or unknown:
             raise ValueError(f"model archive members: missing {sorted(missing)}, "

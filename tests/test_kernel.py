@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -505,3 +506,18 @@ def test_load_rejects_malformed_archive(tmp_path, capfd, member, change, message
     with pytest.raises(ValueError, match=message):
         load_model(path)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "write",
+    [lambda fh: np.save(fh, np.arange(3.0)), lambda fh: None,
+     lambda fh: fh.write(b"format_version = 1\n")],
+    ids=["lone_npy", "empty", "text"],
+)
+def test_load_rejects_a_file_that_is_not_an_archive(tmp_path, write):
+    # the lone .npy raised TypeError and the empty file EOFError
+    path = tmp_path / "model.bin"
+    with open(path, "wb") as fh:
+        write(fh)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not an NPZ archive$"):
+        load_model(path)
