@@ -2,8 +2,9 @@
 """Run the desk-scale adaptive sweep and print the phase summary.
 
 Usage: python3 scripts/run_sweep.py [config] [out_dir]
-Defaults to configs/desk.ini and ./hiermor-out; equivalent to
-`hiermor run configs/desk.ini` plus a console recap.
+Defaults to configs/desk.ini and the config's out_dir.  Runs
+`hiermor run config [--out-dir out_dir]`, with its messages and exit codes,
+and after a successful run prints a console recap.
 """
 
 import sys
@@ -12,15 +13,11 @@ from pathlib import Path
 import hiermor.cli as cli
 from hiermor.config import load_config
 
-config_path = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("configs/desk.ini")
-config = load_config(config_path)
-if len(sys.argv) > 2:
-    import dataclasses
-
-    config = dataclasses.replace(config, out_dir=Path(sys.argv[2]))
-
-code = cli.run(config)
-summary = (config.out_dir / "summary.txt").read_text()
-print(summary)
-print(f"outputs written to {config.out_dir}/ (queries.csv, summary.txt, timings.svg)")
+config_path = sys.argv[1] if len(sys.argv) > 1 else "configs/desk.ini"
+out = sys.argv[2] if len(sys.argv) > 2 else None
+code = cli.main(["run", config_path, *(["--out-dir", out] if out else [])])
+if code == cli.EXIT_OK:
+    out_dir = Path(out) if out else load_config(config_path).out_dir
+    print((out_dir / "summary.txt").read_text())
+    print(f"outputs written to {out_dir}/ (queries.csv, summary.txt, timings.svg)")
 sys.exit(code)

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +443,25 @@ def test_negative_seed_override_exit_code(tmp_path, capsys):
 
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == 4
+
+
+@pytest.mark.parametrize("body, code, first_line", [
+    (b"[mesh]\nn_cells = 2\n", 2, "{path}:2: mesh.n_cells must be >= 3"),
+    (None, 4, "error: cannot read {path}: "),
+], ids=["bad_config", "missing_file"])
+def test_sweep_script_exits_as_the_cli_does(tmp_path, body, code, first_line):
+    # the script ended in a traceback with exit code 1 on both
+    path = tmp_path / "bad.ini"
+    if body is not None:
+        path.write_bytes(body)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_sweep.py"), str(path),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.splitlines()[0].startswith(first_line.format(path=path)), done.stderr
+    assert done.stdout == "" and not (tmp_path / "out").exists()
 
 
 def test_unwritable_output_exit_code(tmp_path):
