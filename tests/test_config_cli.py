@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,10 +17,10 @@ from hiermor.config import (
     parse_config,
     sample_parameters,
 )
-from hiermor.fem import MeshSpec, ParameterBox, TimeGrid
-from hiermor.hierarchy import HierarchyConfig
+from hiermor.fem import MeshSpec, ParameterBox, ParameterPoint, TimeGrid
+from hiermor.hierarchy import HierarchyConfig, QueryRecord
 from hiermor.kernel import KernelConfig
-from hiermor.report import BRANCH_COLORS
+from hiermor.report import BRANCH_COLORS, timing_scatter_svg
 
 # the shipped configs, found from this file so that any working directory will do
 ROOT = Path(__file__).resolve().parent.parent
@@ -364,6 +365,21 @@ def test_svg_is_self_contained_with_marker_per_query(tmp_path):
     for color in BRANCH_COLORS.values():
         assert color in svg
     assert "href" not in svg and "url(" not in svg and "@import" not in svg
+
+
+@pytest.mark.parametrize("times, digest", [
+    ((2.5e-2, 3.1e-4, 1.2e-5, 8.0e-6, 4.4e-4, 0.0, 1.7e-5),
+     "ae4dd9c2ec96b1280ecdfb7f6edb91ca93145d59ddd80b503a422e44715746dc"),
+    ((), "e8d211f7cc2b025df864eb81290a303d3532517b9c75c24d1cba49544dcff1b7"),
+], ids=["seven_queries", "no_queries"])
+def test_svg_bytes_are_pinned(times, digest):
+    # queries answered by FOM, RB and ML in turn; a zero time is drawn at 1e-9 s,
+    # and with no queries the axis spans one decade
+    records = [QueryRecord(index=i + 1, mu=ParameterPoint(1.0, 10.0),
+                           model_used=("FOM", "RB", "ML")[i % 3], wall_time=t, delta_rb=None,
+                           ml_certificate=None, rb_dim_after=0, train_size_after=0)
+               for i, t in enumerate(times)]
+    assert hashlib.sha256(timing_scatter_svg(records).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("trust_mode", ["size_threshold", "never"])

@@ -94,9 +94,12 @@ def test_h_orthonormality_of_modes(small_problem):
 
 def test_zero_snapshots_give_empty_basis(small_problem):
     ops, _ = small_problem
-    basis = pod(np.zeros((ops.n_dofs, 4)), ops.ip)
-    assert basis.dim == 0
-    assert basis.singular_values.size == 0
+    n = ops.n_dofs
+    # four zero snapshots, and a snapshot matrix with no columns
+    for basis in (pod(np.zeros((n, 4)), ops.ip), pod(np.zeros((n, 0))),
+                  pod(np.zeros((n, 0)), ip=ops.ip), hapod([np.zeros((n, 0))], ops.ip)):
+        assert basis.modes.shape == (n, 0)
+        assert basis.singular_values.size == 0
 
 
 def test_singular_values_nonincreasing():
