@@ -364,11 +364,11 @@ def coercivity_constants(ops: FomOperators) -> tuple[float, float]:
     shift with one O(n_dofs) tridiagonal Cholesky factorization (LAPACK
     PTTRF) of the shifted bands.  It stops once hi - lo <= COERCIVITY_RTOL *
     lo, after 10 and 19 PTTRF calls at 256 cells and 14 and 22 at 2048, the
-    first check included (42 and 43 by bisection).  The value is lo, at which
-    the factorization succeeded, so it stays a lower bound; at hi, a relative
-    COERCIVITY_RTOL above it at most, the factorization failed.  It reads the
-    stored bands.  Raises ValueError for an operator whose sub- and
-    superdiagonal differ or that is not positive definite.
+    first check included.  The value is lo, at which the factorization
+    succeeded, so it stays a lower bound; at hi, a relative COERCIVITY_RTOL
+    above it at most, the factorization failed.  It reads the stored bands.
+    Raises ValueError for an operator whose sub- and superdiagonal differ or
+    that is not positive definite.
     """
     return ops.coercivity
 
