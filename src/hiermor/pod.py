@@ -19,7 +19,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as la
-from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .fem import IpFactor, tridiagonal
 
@@ -34,6 +33,9 @@ DROP_TOL = 1e-10
 # sketch is drawn from its own generator, so no other random state moves its bits.
 OVERSAMPLING = 10
 SKETCH_SEED = 20110531
+# Block size of the blocked LAPACK QRs.  QR_BLOCK per column is the workspace
+# `la.qr` queries on the pinned wheels; passing it keeps the bits, skips the query.
+QR_BLOCK = 32
 
 
 @dataclass
@@ -77,33 +79,6 @@ def _sketch(m: int, width: int) -> np.ndarray:
     return sketch
 
 
-@lru_cache(maxsize=64)
-def _qr_lwork(m: int, n: int) -> tuple[int, int]:
-    """The DGEQRF and DORGQR workspace sizes `la.qr` queries for an (m, n) input."""
-    k = min(m, n)
-    geqrf_work = dgeqrf(np.empty((m, n), order="F"), lwork=-1)[2]
-    orgqr_work = dorgqr(np.empty((m, k), order="F"), np.empty(k), lwork=-1)[1]
-    return int(geqrf_work[0]), int(orgqr_work[0])
-
-
-def _qr(a: np.ndarray, with_q: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """Q and R of `la.qr(a, mode="economic")`, bit for bit and with its
-    finiteness check, from one DGEQRF and one DORGQR whose workspace sizes
-    are queried once per shape.  Without `with_q`, Q is None and DORGQR is
-    skipped."""
-    a = np.asarray_chkfinite(a)
-    m, n = a.shape
-    k = min(m, n)
-    if k == 0:
-        return np.empty((m, 0)) if with_q else None, np.empty((0, n))
-    geqrf_lwork, orgqr_lwork = _qr_lwork(m, n)
-    qr, tau = dgeqrf(a, lwork=geqrf_lwork)[:2]
-    r = np.triu(qr[:k])
-    if not with_q:
-        return None, r
-    return dorgqr(qr[:, :k], tau, lwork=orgqr_lwork, overwrite_a=1)[0], r
-
-
 def _mapped_out(factor, u: np.ndarray, sigma: np.ndarray) -> PodBasis:
     """The basis of coordinate modes u, mapped out and signed."""
     return PodBasis(_fix_signs(factor.from_coords(u)), sigma)
@@ -121,12 +96,12 @@ def h_orthonormalize(vectors: np.ndarray, ip) -> tuple[np.ndarray, list[int]]:
     """
     factor = _factor(ip)
     y = factor.coords(vectors)
-    q, r = _qr(y)
+    q, r = la.qr(y, mode="economic", lwork=QR_BLOCK * y.shape[1])
     reach = np.abs(np.diag(r))
     refs = np.linalg.norm(y[:, : reach.size], axis=0)
     kept = np.flatnonzero(reach > DROP_TOL * np.maximum(refs, 1.0)).tolist()
     if len(kept) < y.shape[1]:
-        q, r = _qr(y[:, kept])
+        q, r = la.qr(y[:, kept], mode="economic", lwork=QR_BLOCK * len(kept))
     q[:, np.diag(r) < 0.0] *= -1.0
     return factor.from_coords(q), kept
 
@@ -138,7 +113,8 @@ def _left_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors of the w x w R^T, so one DGEQRF of B^T (Fortran-ordered for a
     C-ordered B) and a square SVD replace a wide one, and nothing is
     squared."""
-    u, sigma, _ = la.svd(_qr(b.T, with_q=False)[1].T)
+    r = la.qr(b.T, mode="r", lwork=QR_BLOCK * len(b))[0][: len(b)]
+    u, sigma, _ = la.svd(r.T)
     return u, sigma
 
 
@@ -177,10 +153,12 @@ def _pod_impl(y: np.ndarray, rank: int | None, energy_tol: float | None,
     if m == 0:
         return np.zeros((n, 0)), np.zeros(0)
     if rank is not None and rank + OVERSAMPLING < min(n, m):
-        q = _qr(y @ _sketch(m, rank + OVERSAMPLING))[0]
-        q = _qr(y @ _qr(y.T @ q)[0])[0]
+        w = rank + OVERSAMPLING
+        q = la.qr(y @ _sketch(m, w), mode="economic", lwork=QR_BLOCK * w)[0]
+        q = la.qr(y.T @ q, mode="economic", lwork=QR_BLOCK * w)[0]
+        q = la.qr(y @ q, mode="economic", lwork=QR_BLOCK * w)[0]
     else:
-        q = _qr(y)[0]
+        q = la.qr(y, mode="economic", lwork=QR_BLOCK * m)[0]
     b, resid = project_out(y, q)
     u, sigma = _left_svd(b)
     r = _truncation_rank(sigma, float(np.einsum("ij,ij->", resid, resid)),

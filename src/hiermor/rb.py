@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dgeqp3, dgesv
 from .fem import (TERM_BANDS, FomOperators, ParameterPoint, QoiVector, TimeGrid, affine,
                   coercivity_constants, theta)
 # `hapod` is not called here; the benchmark's span table looks it up in this module.
-from .pod import h_orthonormalize, hapod, pod, project_out  # noqa: F401
+from .pod import QR_BLOCK, h_orthonormalize, hapod, pod, project_out  # noqa: F401
 
 __all__ = [
     "ReducedModel",
@@ -114,7 +114,7 @@ def _riesz_factor(y: np.ndarray) -> np.ndarray:
     are the mass's, so they meet the rule whenever the mass's do.
     """
     m = y.shape[1]
-    qr, jpvt, *_ = dgeqp3(y, lwork=2 * m + (m + 1) * 32)  # blocked, block size 32
+    qr, jpvt, *_ = dgeqp3(y, lwork=2 * m + (m + 1) * QR_BLOCK)  # blocked
     rows = np.triu(qr[: min(qr.shape)])
     # tails[i, j] = ||R[i:, j]||^2, summed from the bottom so nothing cancels
     tails = np.cumsum(rows[::-1] ** 2, axis=0)[::-1]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hiermor import ParameterPoint, pod, hapod, solve_fom
-from hiermor.pod import (OVERSAMPLING, RANK_CUTOFF, SKETCH_SEED, _fix_signs, _left_svd,
-                         _pod_impl, _qr, _sketch, h_orthonormalize)
+from hiermor.pod import (OVERSAMPLING, QR_BLOCK, RANK_CUTOFF, SKETCH_SEED, _fix_signs,
+                         _left_svd, _pod_impl, _sketch, h_orthonormalize)
 
 
 def h_matrix(ops):
@@ -67,20 +67,28 @@ def test_h_orthonormalize_drops_dependent_columns(small_problem):
     assert projection_error_sq(vectors, q, ops.ip) < 1e-20 * float(
         np.einsum("ij,ij->", vectors, ops.ip @ vectors)
     )
+    # no columns, and more columns than rows: the QRs keep la.qr's shapes
+    q, kept = h_orthonormalize(np.zeros((ops.n_dofs, 0)), ops.ip)
+    assert q.shape == (ops.n_dofs, 0) and kept == []
+    q, kept = h_orthonormalize(rng.standard_normal((4, 9)), None)
+    assert q.shape == (4, 4) and kept == [0, 1, 2, 3]
+    assert np.abs(q.T @ q - np.eye(4)).max() < 1e-12
 
 
 def test_reconstruction_identity_against_svd_oracle():
     rng = np.random.default_rng(11)
-    snapshots = rng.standard_normal((8, 5))
-    # oracle: dense SVD in the Euclidean inner product
-    _, svals, _ = np.linalg.svd(snapshots, full_matrices=False)
-    for r in range(1, 6):
-        basis = pod(snapshots, ip=None, rank=r)
-        q = basis.modes
-        err = np.linalg.norm(snapshots - q @ (q.T @ snapshots), "fro") ** 2
-        expected = float((svals[r:] ** 2).sum())
-        assert err == pytest.approx(expected, abs=1e-10)
-        assert np.allclose(basis.singular_values, svals[: basis.dim], rtol=1e-10)
+    # tall, and wide: more snapshots than dofs keeps la.qr's shapes
+    for snapshots in (rng.standard_normal((8, 5)), rng.standard_normal((4, 9))):
+        # oracle: dense SVD in the Euclidean inner product
+        _, svals, _ = np.linalg.svd(snapshots, full_matrices=False)
+        for r in range(1, min(snapshots.shape) + 1):
+            basis = pod(snapshots, ip=None, rank=r)
+            q = basis.modes
+            assert q.shape == (snapshots.shape[0], r)
+            err = np.linalg.norm(snapshots - q @ (q.T @ snapshots), "fro") ** 2
+            expected = float((svals[r:] ** 2).sum())
+            assert err == pytest.approx(expected, abs=1e-10)
+            assert np.allclose(basis.singular_values, svals[: basis.dim], rtol=1e-10)
 
 
 def test_h_orthonormality_of_modes(small_problem):
@@ -200,32 +208,17 @@ def test_pod_ignores_other_random_state(small_problem, reference_trajectory):
 # -- the POD's pieces ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", [(40, 7), (257, 35), (9, 9), (1, 1)])
+@pytest.mark.parametrize("shape", [(40, 7), (257, 35), (9, 9), (1, 1), (4, 9)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_qr_has_the_bits_of_scipy_economic_qr(shape, order):
+    # The POD passes la.qr a workspace of QR_BLOCK per column in place of its query.
     a = np.asarray(np.random.default_rng(61).standard_normal(shape), order=order)
-    q, r = _qr(a)
+    lwork = QR_BLOCK * shape[1]
+    q, r = la.qr(a, mode="economic", lwork=lwork)
     want_q, want_r = la.qr(a, mode="economic")
     assert q.shape == want_q.shape and q.tobytes() == want_q.tobytes()
     assert r.shape == want_r.shape and r.tobytes() == want_r.tobytes()
-    assert _qr(a, with_q=False)[0] is None
-    assert _qr(a, with_q=False)[1].tobytes() == want_r.tobytes()
-
-
-def test_qr_handles_wide_and_empty_inputs():
-    wide = np.random.default_rng(67).standard_normal((4, 9))
-    q, r = _qr(wide)
-    want_q, want_r = la.qr(wide, mode="economic")
-    assert q.shape == (4, 4) and r.shape == (4, 9)
-    assert np.array_equal(q, want_q) and np.array_equal(r, want_r)
-    for shape in ((6, 0), (0, 3), (0, 0)):
-        want_q, want_r = la.qr(np.zeros(shape), mode="economic")
-        q, r = _qr(np.zeros(shape))
-        assert q.shape == want_q.shape and r.shape == want_r.shape
-    bad = wide.copy()
-    bad[1, 2] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        _qr(bad)
+    assert la.qr(a, mode="r", lwork=lwork)[0][: min(shape)].tobytes() == want_r.tobytes()
 
 
 def test_sketch_is_read_only_and_a_fresh_seeded_draw():
@@ -255,7 +248,7 @@ def test_pod_impl_bits_do_not_depend_on_the_sketch_cache(small_problem, referenc
 def _small_blocks(ops, traj):
     """B = Q^T Y of a trajectory's range finder, and a Gaussian B."""
     y = ops.ip_factor.coords(traj.T)
-    q = _qr(y @ _sketch(y.shape[1], 12))[0]
+    q = la.qr(y @ _sketch(y.shape[1], 12), mode="economic")[0]
     yield q.T @ y
     yield np.random.default_rng(71).standard_normal((12, 57))
 
@@ -310,6 +303,16 @@ def test_non_tridiagonal_inner_product_is_rejected(small_problem, call):
     for ip in (ops.ip + far, (ops.ip + far).toarray(), ops.ip + ops.ip @ ops.ip,
                ops.ip + 1e-3 * sp.eye(ops.n_dofs, k=1)):
         with pytest.raises(ValueError, match="symmetric tridiagonal"):
+            call(v, ip)
+
+
+@pytest.mark.parametrize("call", IP_USERS.values(), ids=IP_USERS.keys())
+def test_non_finite_snapshots_are_rejected(small_problem, call):
+    ops, _ = small_problem
+    v = np.random.default_rng(67).standard_normal((ops.n_dofs, 3))
+    v[1, 2] = np.nan
+    for ip in (ops.ip, None):
+        with pytest.raises(ValueError, match="infs or NaNs"):
             call(v, ip)
 
 
