@@ -11,6 +11,7 @@ configs/desk.ini for a complete annotated example.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import math
 import typing
@@ -187,7 +188,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    data = Path(path).read_bytes()
+    # One leading byte-order mark is dropped from the bytes, so error offsets
+    # still count from the first byte after it ("utf-8-sig" would not).
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -23,8 +23,9 @@ WIDTH, HEIGHT = 860, 420
 
 
 def summary_text(records: list[QueryRecord]) -> str:
-    """Per-branch counts and timings, final state sizes and the number of ML
-    answers that carry no certificate (`size_threshold` trust).
+    """Per-branch counts and timings, final state sizes, the number of ML
+    answers that carry no certificate (`size_threshold` trust) and the largest
+    certificate of an ML answer (RB and FOM rows carry a rejected one).
 
     All statistics are recomputable from the query-log CSV: the 17-digit
     float format used there round-trips exactly.
@@ -41,7 +42,8 @@ def summary_text(records: list[QueryRecord]) -> str:
         lines.append(f"final train_size: {records[-1].train_size_after}")
     uncertified = sum(r.model_used == "ML" and r.ml_certificate is None for r in records)
     lines.append(f"ML uncertified count: {uncertified}")
-    certs = [r.ml_certificate for r in records if r.ml_certificate is not None]
+    certs = [r.ml_certificate for r in records
+             if r.model_used == "ML" and r.ml_certificate is not None]
     lines.append(f"max_certificate: {_fmt(max(certs)) if certs else 'n/a'}")
     return "\n".join(lines) + "\n"
 

@@ -326,31 +326,40 @@ def test_run_outputs_and_determinism(tmp_path):
 
 
 def test_summary_recomputable_from_csv(tmp_path):
-    path = write_small_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--out-dir", str(out)]) == 0
-    with open(out / "queries.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    summary = (out / "summary.txt").read_text()
-    parsed = dict(
-        line.split(": ", 1) for line in summary.strip().splitlines()
-    )
-    assert int(parsed["queries"]) == len(rows)
-    for branch in ("FOM", "RB", "ML"):
-        times = [float(r["wall_time"]) for r in rows if r["model_used"] == branch]
-        assert int(parsed[f"{branch} count"]) == len(times)
-        if times:
-            assert parsed[f"{branch} median_time"] == format(
-                float(np.median(times)), ".17g"
-            )
-            assert parsed[f"{branch} mean_time"] == format(
-                float(np.mean(times)), ".17g"
-            )
-    assert int(parsed["final rb_dim"]) == int(rows[-1]["rb_dim_after"])
-    assert int(parsed["final train_size"]) == int(rows[-1]["train_size_after"])
-    uncertified = sum(r["model_used"] == "ML" and r["ml_certificate"] == "" for r in rows)
-    assert uncertified > 0  # trust_threshold = 6 answers the later queries by size
-    assert int(parsed["ML uncertified count"]) == uncertified
+    # trust_threshold = 6 answers the later queries by size, uncertified; under
+    # always_validate every row has a certificate, rejected ones on RB and FOM rows
+    for mode in ("size_threshold", "always_validate"):
+        path = write_small_config(tmp_path, f"[hierarchy]\ntrust_mode = {mode}\n")
+        out = tmp_path / mode
+        assert main(["run", str(path), "--out-dir", str(out)]) == 0
+        with open(out / "queries.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        summary = (out / "summary.txt").read_text()
+        parsed = dict(
+            line.split(": ", 1) for line in summary.strip().splitlines()
+        )
+        assert int(parsed["queries"]) == len(rows)
+        for branch in ("FOM", "RB", "ML"):
+            times = [float(r["wall_time"]) for r in rows if r["model_used"] == branch]
+            assert int(parsed[f"{branch} count"]) == len(times)
+            if times:
+                assert parsed[f"{branch} median_time"] == format(
+                    float(np.median(times)), ".17g"
+                )
+                assert parsed[f"{branch} mean_time"] == format(
+                    float(np.mean(times)), ".17g"
+                )
+        assert int(parsed["final rb_dim"]) == int(rows[-1]["rb_dim_after"])
+        assert int(parsed["final train_size"]) == int(rows[-1]["train_size_after"])
+        uncertified = sum(r["model_used"] == "ML" and r["ml_certificate"] == "" for r in rows)
+        assert (uncertified > 0) == (mode == "size_threshold")
+        assert int(parsed["ML uncertified count"]) == uncertified
+        certs = [float(r["ml_certificate"]) for r in rows if r["ml_certificate"] != ""]
+        ml_certs = [float(r["ml_certificate"]) for r in rows
+                    if r["model_used"] == "ML" and r["ml_certificate"] != ""]
+        assert parsed["max_certificate"] == (format(max(ml_certs), ".17g") if ml_certs else "n/a")
+        if mode == "always_validate":
+            assert ml_certs and max(certs) > max(ml_certs)
 
 
 def test_svg_is_self_contained_with_marker_per_query(tmp_path):
@@ -447,6 +456,13 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{path}:2: {message}"), err
+    # a leading byte-order mark is accepted and moves no line number
+    path.write_bytes(b"\xef\xbb\xbf[mesh]\nn_cells = 16\nn_steps\xff = 4\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:3: not UTF-8: byte 0xff"), err
+    path.write_bytes(b"\xef\xbb\xbf" + DESK_CONFIG.read_bytes())
+    assert load_config(path) == load_config(DESK_CONFIG)
 
 
 def test_negative_seed_override_exit_code(tmp_path, capsys):
