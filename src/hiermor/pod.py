@@ -112,8 +112,10 @@ def _left_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With the QR B^T = Q_B R, B = R^T Q_B^T has the singular values and left
     vectors of the w x w R^T, so one DGEQRF of B^T (Fortran-ordered for a
     C-ordered B) and a square SVD replace a wide one, and nothing is
-    squared."""
-    r = la.qr(b.T, mode="r", lwork=QR_BLOCK * len(b))[0][: len(b)]
+    squared.  `la.qr`'s mode "raw" returns R as `np.triu` of the factor's
+    leading w rows; mode "r" would triangle all m rows first, for the same
+    bytes."""
+    _, r = la.qr(b.T, mode="raw", lwork=QR_BLOCK * len(b))
     u, sigma, _ = la.svd(r.T)
     return u, sigma
 

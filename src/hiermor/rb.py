@@ -13,12 +13,23 @@ coercivity lower bound.  Residual dual norms are evaluated online as a
 quadratic form in the reduced coefficients through a precomputed factor of
 the Gramian of Riesz representers, so no n_dofs-sized object is touched per
 query.
+
+The basis is nested, as enrichment keeps the old modes first, so each model
+carries a ladder of leading sub-bases, one every LEVEL_STEP modes, whose
+operands are exact slices of its own (`ReducedModel.level`).  The modes stay
+in enrichment order: sorting them by POD singular value, or rotating them by
+an SVD of the FOM trajectories, certified fewer queries at 20 modes.  The
+controller (`hierarchy`) climbs the ladder: a query answers from its start
+level when that level's bound meets rom_tol, and otherwise from the full
+basis, which moves the start up one level.  Under `size_threshold` it keeps
+the full basis, since training the uncertified surrogate on the looser level
+answers raised its misses of rom_tol.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dgesv
@@ -38,7 +49,12 @@ __all__ = [
     "estimate",
     "coercivity_lb",
     "enrich",
+    "LEVEL_STEP",
 ]
+
+# Mode counts of the leading sub-bases a model answers from: every multiple of
+# LEVEL_STEP below its dimension.
+LEVEL_STEP = 4
 
 
 @dataclass
@@ -59,8 +75,14 @@ class ReducedModel:
       the augmented state [a; 1]: [R_M; 0] for the mass and [R_q; -R_load_q]
       for operator q, so each term's load row rides on the trailing 1.
 
+    `level(k)` is the model of the leading k modes, a level of the ladder;
+    `level_init_errors` holds the levels' init_error, one per multiple of
+    LEVEL_STEP below r, and `last_level` keeps the level sliced last, the
+    one the controller's queries start from until the start moves.
+
     Immutable: enrichment builds a new model instead of mutating, so
-    concurrent queries against one instance are safe.
+    concurrent queries against one instance are safe; the only write is
+    `last_level`, and `level` returns the level it sliced, not that field.
     """
 
     modes: np.ndarray
@@ -73,10 +95,42 @@ class ReducedModel:
     gamma_react: float
     init_error: float
     init_state: np.ndarray
+    level_init_errors: np.ndarray
+    last_level: ReducedModel | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.modes.shape[1]
+
+    def level(self, k: int) -> ReducedModel:
+        """The model of the leading k modes, k a positive multiple of
+        LEVEL_STEP; the model itself for k >= dim.  ValueError for other k.
+
+        Its operands are slices of this model's, cut when k differs from
+        the level sliced last: the leading rows and columns and the
+        augmented index of each step term, the leading rows and the load row
+        of each Riesz term (rows of a factor of Y^T Y factor the sub-Gramian
+        exactly, so no new QR), and the leading reduced output and initial
+        state.  Solving and bounding at a level matches `project` of the
+        leading modes to roundoff.
+        """
+        if k < 1 or k % LEVEL_STEP:
+            raise ValueError(f"a level is a positive multiple of {LEVEL_STEP} modes; got {k}")
+        if k >= self.dim:
+            return self
+        level = self.last_level
+        if level is None or level.dim != k:
+            r, n_terms, rung = self.dim, len(self.step_terms), k // LEVEL_STEP - 1
+            keep = np.r_[:k, r]
+            steps = self.step_terms.reshape(n_terms, 2, r + 1, r + 1)[:, :, keep[:, None], keep]
+            riesz = self.riesz_terms.reshape(n_terms, r + 1, -1)[:, keep]
+            level = replace(
+                self, modes=self.modes[:, :k], step_terms=steps.reshape(n_terms, -1),
+                riesz_terms=riesz.reshape(n_terms, -1), red_output=self.red_output[:k],
+                red_init=self.red_init[:k], init_error=float(self.level_init_errors[rung]),
+                level_init_errors=self.level_init_errors[:rung], last_level=None)
+            self.last_level = level
+        return level
 
 
 @dataclass
@@ -172,6 +226,10 @@ def project(ops: FomOperators, modes: np.ndarray, c0: np.ndarray) -> ReducedMode
     init = factor.coords(np.column_stack([c0, modes]))
     red_init = init[:, 1:].T @ init[:, 0]
     init_error = float(np.linalg.norm(init[:, 0] - init[:, 1:] @ red_init))
+    # column j: red_init's leading (j + 1) LEVEL_STEP entries, so one product
+    # gives every level's projection of c0
+    leading = np.arange(r)[:, None] < np.arange(LEVEL_STEP, r, LEVEL_STEP)
+    level_proj = init[:, 1:] @ np.where(leading, red_init[:, None], 0.0)
 
     return ReducedModel(
         modes=modes,
@@ -184,6 +242,7 @@ def project(ops: FomOperators, modes: np.ndarray, c0: np.ndarray) -> ReducedMode
         gamma_react=gamma_react,
         init_error=init_error,
         init_state=c0.copy(),
+        level_init_errors=np.linalg.norm(init[:, :1] - level_proj, axis=0),
     )
 
 

@@ -383,6 +383,8 @@ def test_failing_fom_branch_leaves_state_unchanged(monkeypatch, target):
     mu = ParameterPoint(5.0, 2.0)
     rm, train, counters = state.rm, state.train, dict(state.counters)
     assert counters["fits"] == 0
+    start = state._start_level
+    assert start < rm.dim  # the failing query runs a level pair first
     with monkeypatch.context() as patch:
         patch.setattr(hierarchy_mod, target, broken)
         with pytest.raises(RuntimeError, match="synthetic"):
@@ -394,9 +396,35 @@ def test_failing_fom_branch_leaves_state_unchanged(monkeypatch, target):
     assert state.rm is rm and state.rm.dim == rm.dim
     assert state.train is train and len(state.train) == 1
     assert state._next_index == 2
+    # the level pair that failed before the FOM branch does not move the start
+    assert state._start_level == start
     _, record = state.query(mu)
     assert record.index == 2 and record.model_used == "FOM"
     assert state.counters["fom_solves"] == 2 and state.counters["fits"] == 1
+    assert record.rb_level == rm.dim and state._start_level == start + hierarchy_mod.LEVEL_STEP
+
+
+@pytest.mark.parametrize("mode", ["size_threshold", "never"])
+def test_only_certified_modes_answer_from_levels(monkeypatch, mode):
+    # size_threshold trains an uncertified surrogate on its RB answers, so
+    # every pair runs on the full basis; never starts from a level
+    box = ParameterBox(pe_max=10.0)
+    state = make_state(box=box, trust_mode=mode, trust_threshold=10, retrain_every=5)
+    solved = []  # (modes of the pair's basis, modes of the full basis)
+
+    def recording_solve_rb(rm, mu, grid):
+        solved.append((rm.dim, state.rm.dim))
+        return solve_rb(rm, mu, grid)
+
+    monkeypatch.setattr(hierarchy_mod, "solve_rb", recording_solve_rb)
+    for mu in sweep_mus(box, 40, seed=3):
+        n = len(solved)
+        _, record = state.query(mu)
+        # the record names the basis of the query's last pair, the one that answered
+        assert record.rb_level == (solved[-1][0] if len(solved) > n else None)
+    on_levels = [k for k, full in solved if k < full]
+    assert all(k % hierarchy_mod.LEVEL_STEP == 0 for k in on_levels)
+    assert bool(on_levels) == (mode == "never")
 
 
 # -- stagnation ---------------------------------------------------------------------
@@ -480,7 +508,7 @@ def _snapshot(state):
     """The stored fields, and every counter but `fits`: a read may fit a due refit."""
     counters = {key: n for key, n in state.counters.items() if key != "fits"}
     return (counters, state.rm, state.train, [id(e) for e in state.train],
-            state._surrogate, state._next_index)
+            state._surrogate, state._next_index, state._start_level)
 
 
 def _refit_due(state):

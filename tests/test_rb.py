@@ -780,3 +780,47 @@ def test_enrich_matches_dense_oracle(small_problem, reference_trajectory, monkey
     # the error left after enrichment is the oracle's tail
     left = h_residual(err, union)
     assert float(np.einsum("ij,ij->", left, h @ left)) == pytest.approx(tails[k], rel=1e-6)
+
+
+# -- levels -------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def desk_end_state(desk_problem):
+    """A desk-size model with a nonzero initial state, enriched three times
+    from an empty basis, and that initial state."""
+    ops, grid = desk_problem
+    c0 = solve_fom(ops, ParameterPoint(1.0, 10.0), grid, np.zeros(ops.n_dofs))[0][64]
+    rm = project(ops, empty_basis(ops.n_dofs), c0)
+    for mu in (ParameterPoint(2.0, 30.0), ParameterPoint(0.1, 100.0), ParameterPoint(5.0, 60.0)):
+        rm, _ = enrich(rm, solve_fom(ops, mu, grid, c0)[0], ops, energy_tol=1e-6, max_modes=25)
+    return rm, c0
+
+
+def test_levels_solve_and_bound_as_projected_leading_modes(desk_problem, desk_end_state):
+    ops, grid = desk_problem
+    rm, c0 = desk_end_state
+    assert rm.dim > 8 * rb_mod.LEVEL_STEP and rm.init_error > 0.0
+    mus = ParameterBox().points(np.random.default_rng(11).random((4, 2)))
+    truths = [solve_fom(ops, mu, grid, c0)[1] for mu in mus]
+    for k in range(rb_mod.LEVEL_STEP, rm.dim, rb_mod.LEVEL_STEP):
+        level, ref = rm.level(k), project(ops, rm.modes[:, :k], c0)
+        assert level.dim == k and rm.level(k) is level
+        assert level.init_error == pytest.approx(ref.init_error, rel=1e-6)
+        for mu, truth in zip(mus, truths):
+            traj, qoi = solve_rb(level, mu, grid)
+            ref_traj, ref_qoi = solve_rb(ref, mu, grid)
+            np.testing.assert_allclose(qoi.values, ref_qoi.values, rtol=0.0,
+                                       atol=1e-12 * np.abs(ref_qoi.values).max())
+            delta = estimate(level, mu, traj, grid).delta_rb
+            assert delta == pytest.approx(estimate(ref, mu, ref_traj, grid).delta_rb, rel=1e-8)
+            assert qoi_norm(QoiVector(truth.values - qoi.values, grid.dt)) <= delta
+
+
+def test_full_level_is_the_model(desk_end_state):
+    rm, _ = desk_end_state
+    top = rm.dim - rm.dim % rb_mod.LEVEL_STEP + rb_mod.LEVEL_STEP
+    assert rm.level(top) is rm and rm.level(top + rb_mod.LEVEL_STEP) is rm
+    for k in (0, -rb_mod.LEVEL_STEP, rb_mod.LEVEL_STEP + 1):
+        with pytest.raises(ValueError, match="positive multiple"):
+            rm.level(k)
