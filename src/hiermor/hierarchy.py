@@ -165,14 +165,12 @@ class AdaptiveHierarchy:
     a failing `solve_fom`, `enrich` or `fit`) changes no controller field.
     Queries run one at a time, each from the state the previous one left.
 
-    Reads (`model`, `certify`, `counters`) write no controller field; a
-    certificate may slice a level of the basis, which the `ReducedModel`
-    keeps as its `last_level`.  A refit that falls due (the schedule is read
-    off the training-set size) installs an unfitted `Surrogate`.  The first
-    read of its model, by an ML answer, a certificate or `model`, fits it
-    once and caches the fit, which stays when that query fails later; so a
-    failing fit surfaces in the first query that reads it, and
-    `counters["fits"]` counts the fits made.
+    Reads (`model`, `certify`, `counters`) write no controller field.  A
+    refit that falls due (the schedule is read off the training-set size)
+    installs an unfitted `Surrogate`.  The first read of its model, by an ML
+    answer, a certificate or `model`, fits it once and caches the fit, which
+    stays when that query fails later; so a failing fit surfaces in the
+    first query that reads it, and `counters["fits"]` counts the fits made.
     """
 
     def __init__(
@@ -197,14 +195,19 @@ class AdaptiveHierarchy:
         # The surrogate of the last refit that fell due; None before the first.
         self._surrogate: Surrogate | None = None
         # Mode count of the level an RB pair starts from; it carries across bases.
+        # `_level` is `rm.level(_start_level)` once a committed query sliced it
+        # (a slice costs about a quarter of its pair), None until then.  A new
+        # basis comes only from a FOM answer, which leaves None: its level
+        # pair, if one ran, missed rom_tol.
         self._start_level = LEVEL_STEP
+        self._level: ReducedModel | None = None
         self._counts = dict.fromkeys(("fom_solves", "rb_solves", "ml_predicts", "stagnated"), 0)
         self._next_index = 1
         if config.warm_start_corners:
             for corner in box.corners():
                 _, learned, stagnated = self._harvest(corner, None)
                 self._commit({"fom_solves": 1, "stagnated": stagnated}, learned,
-                             self._start_level)
+                             (self._start_level, None))
 
     @property
     def model(self) -> KernelModel | None:
@@ -233,22 +236,24 @@ class AdaptiveHierarchy:
         gap = qoi_norm(QoiVector(f_rb.values - f_ml.values, f_rb.dt))
         return MlCertificate(delta + gap, delta, f_rb, f_ml)
 
-    def _rb_answer(self, mu: ParameterPoint) -> tuple[QoiVector, float, int, int]:
+    def _rb_answer(self, mu: ParameterPoint) -> tuple[QoiVector, float, int, tuple]:
         """Reduced output and its error bound, the mode count of the basis
-        whose pair gave them, and the start level the query leaves.
+        whose pair gave them, and the start level the query leaves with its
+        sliced model (None when not sliced).
 
         Under always_validate and never the pair runs first on the level of
         `_start_level` modes, when the basis has more, and answers when its
         bound meets rom_tol; otherwise one pair on the full basis answers and
         the start moves up one level.  size_threshold reads the full basis only.
         """
-        rm, start = self.rm, self._start_level
+        rm, start, level = self.rm, self._start_level, self._level
         if self.config.trust_mode != "size_threshold" and start < rm.dim:
-            f_rb, delta = self._rb_pair(rm.level(start), mu)
+            level = rm.level(start) if level is None else level
+            f_rb, delta = self._rb_pair(level, mu)
             if delta <= self.config.rom_tol:
-                return f_rb, delta, start, start
-            start += LEVEL_STEP
-        return *self._rb_pair(rm, mu), rm.dim, start
+                return f_rb, delta, start, (start, level)
+            start, level = start + LEVEL_STEP, None
+        return *self._rb_pair(rm, mu), rm.dim, (start, level)
 
     def _rb_pair(self, rm: ReducedModel, mu: ParameterPoint) -> tuple[QoiVector, float]:
         traj, qoi = solve_rb(rm, mu, self.grid)
@@ -263,14 +268,14 @@ class AdaptiveHierarchy:
         start = time.perf_counter()
         cfg = self.config
         delta = cert = level = None
-        learned, start_level = (self.rm, self.train, self._surrogate), self._start_level
+        learned, ladder = (self.rm, self.train, self._surrogate), (self._start_level, self._level)
         # Size-threshold trust needs a fitted or due surrogate; the check fits nothing.
         if (cfg.trust_mode == "size_threshold" and self._surrogate is not None
                 and len(self.train) >= cfg.trust_threshold):
             answer, used = predict(self._surrogate.model, mu), "ML"
             counts = {"ml_predicts": 1}
         else:
-            f_rb, delta, level, start_level = self._rb_answer(mu)
+            f_rb, delta, level, ladder = self._rb_answer(mu)
             if cfg.trust_mode == "always_validate":
                 cert = self._certificate(mu, f_rb, delta)
             counts = {"rb_solves": 1, "ml_predicts": int(cert is not None)}
@@ -281,7 +286,7 @@ class AdaptiveHierarchy:
                 answer, learned, stagnated = self._harvest(mu, f_rb if used == "RB" else None)
                 counts.update(fom_solves=int(used == "FOM"), stagnated=stagnated)
 
-        self._commit(counts, learned, start_level)
+        self._commit(counts, learned, ladder)
         self._next_index += 1
         record = QueryRecord(
             index=self._next_index - 1,
@@ -323,13 +328,13 @@ class AdaptiveHierarchy:
             surrogate = Surrogate(train, self.kernel_config, self.box, self.counters["fits"])
         return answer, (rm, train, surrogate), stagnated
 
-    def _commit(self, counts: dict[str, int], learned: tuple, start_level: int) -> None:
+    def _commit(self, counts: dict[str, int], learned: tuple, ladder: tuple) -> None:
         """The one place controller state is written: counters, then what was
-        learned and the start level."""
+        learned and the start level with its sliced model."""
         for key, n in counts.items():
             self._counts[key] += n
         self.rm, self.train, self._surrogate = learned
-        self._start_level = start_level
+        self._start_level, self._level = ladder
 
 
 # -- query log export ---------------------------------------------------------

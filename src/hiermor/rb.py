@@ -29,7 +29,7 @@ answers raised its misses of rom_tol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dgesv
@@ -77,12 +77,10 @@ class ReducedModel:
 
     `level(k)` is the model of the leading k modes, a level of the ladder;
     `level_init_errors` holds the levels' init_error, one per multiple of
-    LEVEL_STEP below r, and `last_level` keeps the level sliced last, the
-    one the controller's queries start from until the start moves.
+    LEVEL_STEP below r.
 
     Immutable: enrichment builds a new model instead of mutating, so
-    concurrent queries against one instance are safe; the only write is
-    `last_level`, and `level` returns the level it sliced, not that field.
+    concurrent queries against one instance are safe.
     """
 
     modes: np.ndarray
@@ -96,7 +94,6 @@ class ReducedModel:
     init_error: float
     init_state: np.ndarray
     level_init_errors: np.ndarray
-    last_level: ReducedModel | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -106,31 +103,26 @@ class ReducedModel:
         """The model of the leading k modes, k a positive multiple of
         LEVEL_STEP; the model itself for k >= dim.  ValueError for other k.
 
-        Its operands are slices of this model's, cut when k differs from
-        the level sliced last: the leading rows and columns and the
-        augmented index of each step term, the leading rows and the load row
-        of each Riesz term (rows of a factor of Y^T Y factor the sub-Gramian
-        exactly, so no new QR), and the leading reduced output and initial
-        state.  Solving and bounding at a level matches `project` of the
-        leading modes to roundoff.
+        Its operands are slices of this model's, cut on every call: the
+        leading rows and columns and the augmented index of each step term,
+        the leading rows and the load row of each Riesz term (rows of a
+        factor of Y^T Y factor the sub-Gramian exactly, so no new QR), and
+        the leading reduced output and initial state.  Solving and bounding
+        at a level matches `project` of the leading modes to roundoff.
         """
         if k < 1 or k % LEVEL_STEP:
             raise ValueError(f"a level is a positive multiple of {LEVEL_STEP} modes; got {k}")
         if k >= self.dim:
             return self
-        level = self.last_level
-        if level is None or level.dim != k:
-            r, n_terms, rung = self.dim, len(self.step_terms), k // LEVEL_STEP - 1
-            keep = np.r_[:k, r]
-            steps = self.step_terms.reshape(n_terms, 2, r + 1, r + 1)[:, :, keep[:, None], keep]
-            riesz = self.riesz_terms.reshape(n_terms, r + 1, -1)[:, keep]
-            level = replace(
-                self, modes=self.modes[:, :k], step_terms=steps.reshape(n_terms, -1),
-                riesz_terms=riesz.reshape(n_terms, -1), red_output=self.red_output[:k],
-                red_init=self.red_init[:k], init_error=float(self.level_init_errors[rung]),
-                level_init_errors=self.level_init_errors[:rung], last_level=None)
-            self.last_level = level
-        return level
+        r, n_terms, rung = self.dim, len(self.step_terms), k // LEVEL_STEP - 1
+        keep = np.r_[:k, r]
+        steps = self.step_terms.reshape(n_terms, 2, r + 1, r + 1)[:, :, keep[:, None], keep]
+        riesz = self.riesz_terms.reshape(n_terms, r + 1, -1)[:, keep]
+        return replace(
+            self, modes=self.modes[:, :k], step_terms=steps.reshape(n_terms, -1),
+            riesz_terms=riesz.reshape(n_terms, -1), red_output=self.red_output[:k],
+            red_init=self.red_init[:k], init_error=float(self.level_init_errors[rung]),
+            level_init_errors=self.level_init_errors[:rung])
 
 
 @dataclass

@@ -417,14 +417,20 @@ def test_only_certified_modes_answer_from_levels(monkeypatch, mode):
         return solve_rb(rm, mu, grid)
 
     monkeypatch.setattr(hierarchy_mod, "solve_rb", recording_solve_rb)
+    kept = 0
     for mu in sweep_mus(box, 40, seed=3):
         n = len(solved)
         _, record = state.query(mu)
         # the record names the basis of the query's last pair, the one that answered
         assert record.rb_level == (solved[-1][0] if len(solved) > n else None)
+        # a kept level is the start level of the current basis
+        if state._level is not None:
+            kept += 1
+            fresh = state.rm.level(state._start_level)
+            assert np.array_equal(state._level.riesz_terms, fresh.riesz_terms)
     on_levels = [k for k, full in solved if k < full]
     assert all(k % hierarchy_mod.LEVEL_STEP == 0 for k in on_levels)
-    assert bool(on_levels) == (mode == "never")
+    assert bool(on_levels) == bool(kept) == (mode == "never")
 
 
 # -- stagnation ---------------------------------------------------------------------
@@ -508,7 +514,7 @@ def _snapshot(state):
     """The stored fields, and every counter but `fits`: a read may fit a due refit."""
     counters = {key: n for key, n in state.counters.items() if key != "fits"}
     return (counters, state.rm, state.train, [id(e) for e in state.train],
-            state._surrogate, state._next_index, state._start_level)
+            state._surrogate, state._next_index, state._start_level, state._level)
 
 
 def _refit_due(state):
