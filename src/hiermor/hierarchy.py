@@ -54,7 +54,6 @@ from .fem import (
     ParameterPoint,
     QoiVector,
     TimeGrid,
-    qoi_norm,
     solve_fom,
 )
 from .kernel import KernelConfig, KernelModel, TrainingSet, fit, predict
@@ -72,6 +71,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 TRUST_MODES = ("size_threshold", "always_validate", "never")
+# The counter increment of a trusted size_threshold answer; `_commit` only reads it.
+_ML_ANSWER = {"ml_predicts": 1}
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,7 @@ class MlCertificate:
 
 @dataclass
 class QueryRecord:
+    # `query` passes the fields by position, which costs less than by keyword.
     index: int
     mu: ParameterPoint
     model_used: str  # "ML" | "RB" | "FOM"
@@ -206,8 +208,7 @@ class AdaptiveHierarchy:
         if config.warm_start_corners:
             for corner in box.corners():
                 _, learned, stagnated = self._harvest(corner, None)
-                self._commit({"fom_solves": 1, "stagnated": stagnated}, learned,
-                             (self._start_level, None))
+                self._commit({"fom_solves": 1, "stagnated": stagnated}, learned)
 
     @property
     def model(self) -> KernelModel | None:
@@ -225,15 +226,19 @@ class AdaptiveHierarchy:
 
         f_rb and delta_rb come from the RB path a query at mu would take.
         Before the first due refit the surrogate counts as the zero model,
-        so the certificate degenerates to delta_rb + ||f_rb||.
+        so the certificate degenerates to delta_rb + ||f_rb||.  A mu outside
+        the box raises the ValueError `query` raises.
         """
+        if not self.box.contains(mu):
+            raise ValueError(f"{mu} lies outside the parameter box {self.box}")
         return self._certificate(mu, *self._rb_answer(mu)[:2])
 
     def _certificate(self, mu: ParameterPoint, f_rb: QoiVector, delta: float) -> MlCertificate:
         model = self.model
         f_ml = (QoiVector(np.zeros(self.grid.n_steps), self.grid.dt) if model is None
                 else predict(model, mu))
-        gap = qoi_norm(QoiVector(f_rb.values - f_ml.values, f_rb.dt))
+        diff = f_rb.values - f_ml.values  # qoi_norm's arithmetic, without a QoiVector
+        gap = math.sqrt(f_rb.dt * float(np.dot(diff, diff)))
         return MlCertificate(delta + gap, delta, f_rb, f_ml)
 
     def _rb_answer(self, mu: ParameterPoint) -> tuple[QoiVector, float, int, tuple]:
@@ -262,44 +267,39 @@ class AdaptiveHierarchy:
     # -- the query ladder ------------------------------------------------------
 
     def query(self, mu: ParameterPoint) -> tuple[QoiVector, QueryRecord]:
-        """Answer one parameter query through the adaptive ladder."""
+        """Answer one parameter query through the adaptive ladder.  A trusted
+        `size_threshold` answer only predicts, counts itself and records; only
+        the RB/FOM branch hands `_commit` a learned state and a start level."""
         if not self.box.contains(mu):
             raise ValueError(f"{mu} lies outside the parameter box {self.box}")
         start = time.perf_counter()
         cfg = self.config
-        delta = cert = level = None
-        learned, ladder = (self.rm, self.train, self._surrogate), (self._start_level, self._level)
+        n_train = len(self.train)
         # Size-threshold trust needs a fitted or due surrogate; the check fits nothing.
         if (cfg.trust_mode == "size_threshold" and self._surrogate is not None
-                and len(self.train) >= cfg.trust_threshold):
-            answer, used = predict(self._surrogate.model, mu), "ML"
-            counts = {"ml_predicts": 1}
-        else:
-            f_rb, delta, level, ladder = self._rb_answer(mu)
-            if cfg.trust_mode == "always_validate":
-                cert = self._certificate(mu, f_rb, delta)
-            counts = {"rb_solves": 1, "ml_predicts": int(cert is not None)}
-            if cert is not None and cert.value <= cfg.validation_slack * cfg.rom_tol:
-                answer, used = cert.f_ml, "ML"
-            else:
-                used = "RB" if delta <= cfg.rom_tol else "FOM"
-                answer, learned, stagnated = self._harvest(mu, f_rb if used == "RB" else None)
-                counts.update(fom_solves=int(used == "FOM"), stagnated=stagnated)
+                and n_train >= cfg.trust_threshold):
+            answer = predict(self._surrogate.model, mu)
+            self._commit(_ML_ANSWER)
+            self._next_index += 1
+            return answer, QueryRecord(self._next_index - 1, mu, "ML",
+                                       time.perf_counter() - start, None, None, self.rm.dim,
+                                       n_train)
 
+        f_rb, delta, level, ladder = self._rb_answer(mu)
+        cert = self._certificate(mu, f_rb, delta) if cfg.trust_mode == "always_validate" else None
+        counts = {"rb_solves": 1, "ml_predicts": int(cert is not None)}
+        learned = None
+        if cert is not None and cert.value <= cfg.validation_slack * cfg.rom_tol:
+            answer, used = cert.f_ml, "ML"
+        else:
+            used = "RB" if delta <= cfg.rom_tol else "FOM"
+            answer, learned, stagnated = self._harvest(mu, f_rb if used == "RB" else None)
+            counts.update(fom_solves=int(used == "FOM"), stagnated=stagnated)
         self._commit(counts, learned, ladder)
         self._next_index += 1
-        record = QueryRecord(
-            index=self._next_index - 1,
-            mu=mu,
-            model_used=used,
-            wall_time=time.perf_counter() - start,
-            delta_rb=delta,
-            ml_certificate=None if cert is None else cert.value,
-            rb_dim_after=self.rm.dim,
-            train_size_after=len(self.train),
-            rb_level=level,
-        )
-        return answer, record
+        return answer, QueryRecord(self._next_index - 1, mu, used, time.perf_counter() - start,
+                                   delta, None if cert is None else cert.value, self.rm.dim,
+                                   len(self.train), level)
 
     def _harvest(self, mu: ParameterPoint, f_rb: QoiVector | None):
         """Answer, (basis, training set, surrogate) after learning mu, and
@@ -328,13 +328,16 @@ class AdaptiveHierarchy:
             surrogate = Surrogate(train, self.kernel_config, self.box, self.counters["fits"])
         return answer, (rm, train, surrogate), stagnated
 
-    def _commit(self, counts: dict[str, int], learned: tuple, ladder: tuple) -> None:
+    def _commit(self, counts: dict[str, int], learned: tuple | None = None,
+                ladder: tuple | None = None) -> None:
         """The one place controller state is written: counters, then what was
-        learned and the start level with its sliced model."""
+        learned and the start level with its sliced model, each when given."""
         for key, n in counts.items():
             self._counts[key] += n
-        self.rm, self.train, self._surrogate = learned
-        self._start_level, self._level = ladder
+        if learned is not None:
+            self.rm, self.train, self._surrogate = learned
+        if ladder is not None:
+            self._start_level, self._level = ladder
 
 
 # -- query log export ---------------------------------------------------------

@@ -24,8 +24,10 @@ WIDTH, HEIGHT = 860, 420
 
 def summary_text(records: list[QueryRecord]) -> str:
     """Per-branch counts and timings, final state sizes, the number of ML
-    answers that carry no certificate (`size_threshold` trust) and the largest
-    certificate of an ML answer (RB and FOM rows carry a rejected one).
+    answers that carry no certificate (`size_threshold` trust), the largest
+    certificate of an ML answer (RB and FOM rows carry a rejected one) and the
+    smallest `delta_rb` of a FOM row, the floor the bound reached on the
+    basis it ran on.
 
     All statistics are recomputable from the query-log CSV: the 17-digit
     float format used there round-trips exactly.
@@ -45,6 +47,8 @@ def summary_text(records: list[QueryRecord]) -> str:
     certs = [r.ml_certificate for r in records
              if r.model_used == "ML" and r.ml_certificate is not None]
     lines.append(f"max_certificate: {_fmt(max(certs)) if certs else 'n/a'}")
+    fom_deltas = [r.delta_rb for r in records if r.model_used == "FOM" and r.delta_rb is not None]
+    lines.append(f"FOM min_delta_rb: {_fmt(min(fom_deltas)) if fom_deltas else 'n/a'}")
     return "\n".join(lines) + "\n"
 
 

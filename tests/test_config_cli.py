@@ -20,7 +20,7 @@ from hiermor.config import (
 from hiermor.fem import MeshSpec, ParameterBox, ParameterPoint, TimeGrid
 from hiermor.hierarchy import HierarchyConfig, QueryRecord
 from hiermor.kernel import KernelConfig
-from hiermor.report import BRANCH_COLORS, timing_scatter_svg
+from hiermor.report import BRANCH_COLORS, summary_text, timing_scatter_svg
 
 # the shipped configs, found from this file so that any working directory will do
 ROOT = Path(__file__).resolve().parent.parent
@@ -327,9 +327,10 @@ def test_run_outputs_and_determinism(tmp_path):
 
 def test_summary_recomputable_from_csv(tmp_path):
     # trust_threshold = 6 answers the later queries by size, uncertified; under
-    # always_validate every row has a certificate, rejected ones on RB and FOM rows
-    for mode in ("size_threshold", "always_validate"):
-        path = write_small_config(tmp_path, f"[hierarchy]\ntrust_mode = {mode}\n")
+    # always_validate every row has a certificate, rejected ones on RB and FOM rows;
+    # never at rom_tol 1e-3 answers two queries by FOM, with different bounds
+    for mode, tol in (("size_threshold", 1e-2), ("always_validate", 1e-2), ("never", 1e-3)):
+        path = write_small_config(tmp_path, f"[hierarchy]\ntrust_mode = {mode}\nrom_tol = {tol}\n")
         out = tmp_path / mode
         assert main(["run", str(path), "--out-dir", str(out)]) == 0
         with open(out / "queries.csv") as fh:
@@ -358,8 +359,15 @@ def test_summary_recomputable_from_csv(tmp_path):
         ml_certs = [float(r["ml_certificate"]) for r in rows
                     if r["model_used"] == "ML" and r["ml_certificate"] != ""]
         assert parsed["max_certificate"] == (format(max(ml_certs), ".17g") if ml_certs else "n/a")
+        # every FOM row carries the bound of the pair that rejected RB
+        fom_deltas = [r["delta_rb"] for r in rows if r["model_used"] == "FOM"]
+        assert fom_deltas and "" not in fom_deltas
+        assert mode != "never" or len(set(fom_deltas)) > 1  # so min is not max
+        assert parsed["FOM min_delta_rb"] == format(min(map(float, fom_deltas)), ".17g")
         if mode == "always_validate":
             assert ml_certs and max(certs) > max(ml_certs)
+    # no FOM row, no floor
+    assert "FOM min_delta_rb: n/a" in summary_text([]).splitlines()
 
 
 def test_svg_is_self_contained_with_marker_per_query(tmp_path):

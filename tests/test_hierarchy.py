@@ -89,10 +89,14 @@ def test_returned_answers_match_highest_fidelity_on_branch():
     assert np.array_equal(answer.values, f_h.values)
 
 
-def test_query_rejects_out_of_box_parameter():
+@pytest.mark.parametrize("method", ["query", "certify"])
+def test_query_rejects_out_of_box_parameter(method):
+    # certify takes the path a query would take, so it refuses the same points
     state = make_state()
-    with pytest.raises(ValueError):
-        state.query(ParameterPoint(100.0, 10.0))
+    for mu in (ParameterPoint(100.0, 10.0), ParameterPoint(50.0, 5.0),
+               ParameterPoint(1.0, 1000.0), ParameterPoint(0.0, 0.5)):
+        with pytest.raises(ValueError, match="outside the parameter box"):
+            getattr(state, method)(mu)
     # failed query leaves state untouched
     assert len(state.train) == 0
     assert state.rm.dim == 0
@@ -130,12 +134,13 @@ def test_ml_branch_after_trust_threshold_runs_no_solves():
     for mu in sweep_mus(box, 12, seed=1):
         state.query(mu)
     assert len(state.train) >= 6
-    before = dict(state.counters)
+    counters, rm, train, ids, surrogate, next_index, start_level, level = _snapshot(state)
     _, record = state.query(ParameterPoint(5.0, 5.0))
-    assert record.model_used == "ML"
-    assert state.counters["rb_solves"] == before["rb_solves"]
-    assert state.counters["fom_solves"] == before["fom_solves"]
-    assert state.counters["ml_predicts"] == before["ml_predicts"] + 1
+    assert record.model_used == "ML" and record.index == next_index
+    # a trusted answer writes one counter and advances the record index, nothing else
+    counters["ml_predicts"] += 1
+    assert _snapshot(state) == (counters, rm, train, ids, surrogate, next_index + 1,
+                                start_level, level)
 
 
 def test_monotone_infrastructure_growth():
