@@ -179,17 +179,17 @@ def project(ops: FomOperators, modes: np.ndarray, c0: np.ndarray) -> ReducedMode
     the residual components are mapped by one bidiagonal half-solve with the
     Cholesky factor of ip, and only a factor of their Riesz Gramian is kept,
     its rows scattered into the per-term blocks of `riesz_terms`.  Each
-    stored operator (`FomOperators.operators`: mass, diffusion, advection) is
-    applied, projected and factored once, so the product, the half-solve and
-    the pivoted QR run over 3 + 3r components; `TERM_BANDS` picks each
-    term's projected block and rows of `riesz_terms` from them, and the
-    reaction's are the mass's.  The initial-state terms are Euclidean in the
-    coordinates of that factor.
+    stored operator (mass, diffusion, advection) is applied to the modes by
+    one `FomOperators.apply`, then projected and factored once, so the
+    product, the half-solve and the pivoted QR run over 3 + 3r components;
+    `TERM_BANDS` picks each term's projected block and rows of `riesz_terms`
+    from them, and the reaction's are the mass's.  The initial-state terms
+    are Euclidean in the coordinates of that factor.
     """
     factor = ops.ip_factor
     r, n_terms = modes.shape[1], len(ops.loads)
 
-    applied = [op @ modes for op in ops.operators]
+    applied = ops.apply(modes)
     red = [modes.T @ a for a in applied]
     red_mass, *red_blocks = (red[k] for k in TERM_BANDS)
     steps = np.zeros((n_terms + 1, 2, r + 1, r + 1))

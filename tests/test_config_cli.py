@@ -17,6 +17,7 @@ from hiermor.config import (
     parse_config,
     sample_parameters,
 )
+import hiermor.fem as fem
 from hiermor.fem import MeshSpec, ParameterBox, ParameterPoint, TimeGrid
 from hiermor.hierarchy import HierarchyConfig, QueryRecord
 from hiermor.kernel import KernelConfig
@@ -290,6 +291,27 @@ def test_default_run_config_runs_a_sweep():
     state, records = _execute_sweep(config)
     assert len(records) == 30
     assert state.model is not None  # refit with the default kernel settings
+
+
+def test_desk_set_up_and_first_queries_build_no_sparse_matrix(monkeypatch):
+    # the first 10 desk queries at seed 42 hold both FOM answers of the list,
+    # each with its enrichment and `project`
+    config = load_config(DESK_CONFIG)
+    mus = sample_parameters(config.sweep, config.box)[:10]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a sparse matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fem.sp, "dia_matrix", refuse)
+        state = build_hierarchy(config)
+        records = [state.query(mu)[1] for mu in mus]
+    assert [r.model_used for r in records].count("FOM") == 2
+    assert state.rm.dim == 36
+    # with dia_matrix back, the views build on first access
+    ip = state.ops.ip
+    assert ip.format == "dia" and np.shares_memory(ip.data, state.ops.bands)
+    assert state.ops.blocks[2] is state.ops.mass
 
 
 # -- cli run ------------------------------------------------------------------------

@@ -134,6 +134,52 @@ def test_operator_products_have_the_bits_of_csr_products(n_cells, r):
             assert (op @ x).tobytes() == (sp.csr_matrix(op) @ x).tobytes()
 
 
+@pytest.mark.parametrize("n_cells", [256, 2048])
+@pytest.mark.parametrize("m", [0, 1, 36])
+def test_apply_has_the_bits_of_the_dia_products(n_cells, m):
+    # rb.project applies the operators by `apply`, whose bytes must be those
+    # of `op @ modes`.  Signed zeros in x would show a sum that does not
+    # start from 0 as scipy's does.
+    ops = assemble(MeshSpec(n_cells))
+    x = np.random.default_rng(m).standard_normal((n_cells, m))
+    x[::7], x[3::11] = 0.0, -0.0
+    for xx in (x, np.asfortranarray(x)):
+        applied = ops.apply(xx)
+        assert applied.shape == (3, n_cells, m) and applied.flags.c_contiguous
+        for k in range(3):
+            assert applied[k].tobytes() == (ops.operators[k] @ xx).tobytes()
+
+
+def test_operators_build_their_sparse_views_on_first_access(monkeypatch):
+    built, dia_matrix = [], sp.dia_matrix
+    monkeypatch.setattr(fem.sp, "dia_matrix",
+                        lambda *args, **kw: built.append(1) or dia_matrix(*args, **kw))
+    ops = assemble(MeshSpec(16))
+    assert not built
+    mass = ops.mass
+    assert len(built) == 4  # one per stored band
+    assert ops.operators[0] is mass and ops.mass is mass and len(built) == 4
+    # a replaced set builds its own views, of its own bands
+    bands = 2.0 * ops.bands
+    doubled = dataclasses.replace(ops, bands=bands)
+    assert len(built) == 4
+    assert doubled.mass is not mass and doubled.blocks[2] is doubled.mass and len(built) == 8
+    assert np.shares_memory(doubled.mass.data, bands)
+    assert not np.shares_memory(doubled.mass.data, ops.bands)
+    assert np.array_equal(doubled.ip.toarray(), 2.0 * ops.ip.toarray())
+
+
+@pytest.mark.parametrize("n_cells", [3, 256, 2048])
+def test_tbtrs_bands_are_the_rolled_construction(n_cells):
+    factor = assemble(MeshSpec(n_cells)).ip_factor
+    ones, sub = np.ones(n_cells), np.append(factor.sub, 0.0)
+    want = {"L": np.asfortranarray([ones, sub]), "U": np.asfortranarray([np.roll(sub, 1), ones])}
+    for uplo, bands in factor._tbtrs_bands.items():
+        assert bands.flags.f_contiguous and bands.shape == (2, n_cells)
+        assert bands.tobytes(order="A") == want[uplo].tobytes(order="A")
+    assert factor._tbtrs_bands.keys() == want.keys()
+
+
 def test_ip_factor_is_factored_once_per_operator_set(monkeypatch):
     ops = assemble(MeshSpec(16))
     fresh = IpFactor.of_bands(*fem.tridiagonal(ops.ip))
@@ -422,6 +468,17 @@ def test_coercivity_constants_are_certified_and_tight(n_cells):
     ip = fem.tridiagonal(ops.ip)
     for gamma, block in zip(coercivity_constants(ops), (ops.blocks[0], ops.blocks[2])):
         _assert_certified_and_tight(fem.tridiagonal(block), ip, gamma)
+
+
+@pytest.mark.parametrize("n_cells, want, n_calls", [
+    (256, ("0x1.6c56dcae6e299p-1", "0x1.5557b08bc4321p-20"), 10 + 19),
+    (2048, ("0x1.6c56c76aa83b8p-1", "0x1.55555ec22ca73p-26"), 14 + 22),
+])
+def test_coercivity_constants_keep_their_bits_and_calls(monkeypatch, n_cells, want, n_calls):
+    ops = assemble(MeshSpec(n_cells))
+    calls = _counting_dpttrf(monkeypatch)
+    assert tuple(map(float.hex, coercivity_constants(ops))) == want
+    assert len(calls) == n_calls
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
